@@ -1,7 +1,7 @@
 // OSU-style collective micro-benchmark for the hierarchical engine
 // (src/coll). Sweeps message size x cluster shape for bcast and allreduce
-// with the "coll.algorithm" cvar forced to flat vs hier, and prints the
-// speedup table that feeds EXPERIMENTS.md.
+// with the "coll.algorithm" cvar set to flat vs auto (the topology plan),
+// and prints the speedup table that feeds EXPERIMENTS.md.
 //
 // `--smoke` is the CI fence: 8 nodes x 8 ppn, 64 KiB allreduce — the
 // hierarchical path must be at least 2x faster than the flat trees it
@@ -83,7 +83,7 @@ void run_sweep() {
         const double flat =
             with_algo("flat", sh.nodes, sh.ppn, bytes, bcast_op, iters);
         const double hier =
-            with_algo("hier", sh.nodes, sh.ppn, bytes, bcast_op, iters);
+            with_algo("auto", sh.nodes, sh.ppn, bytes, bcast_op, iters);
         t.add_row({std::to_string(sh.nodes) + "x" + std::to_string(sh.ppn),
                    std::to_string(bytes), base::Table::fmt(flat, 1),
                    base::Table::fmt(hier, 1),
@@ -102,7 +102,7 @@ int run_smoke(int argc, char** argv) {
 
   const double flat = with_algo("flat", kNodes, kPpn, kBytes, false, kIters);
   base::counters().reset();
-  const double hier = with_algo("hier", kNodes, kPpn, kBytes, false, kIters);
+  const double hier = with_algo("auto", kNodes, kPpn, kBytes, false, kIters);
   const std::uint64_t copies = base::counters().value("coll.payload_copies");
 
   std::cout << "64-rank 64 KiB allreduce: flat " << base::Table::fmt(flat, 1)

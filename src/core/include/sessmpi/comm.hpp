@@ -103,11 +103,11 @@ class Communicator {
   void barrier() const;
   Request ibarrier() const;
   void bcast(void* buf, int count, const Datatype& dt, int root) const;
-  /// MPI_Ibcast: schedule-driven (topology-aware tree over pt2pt edges),
-  /// advanced by the progress engine.
+  /// MPI_Ibcast: the blocking bcast's schedule, advanced by the progress
+  /// engine.
   Request ibcast(void* buf, int count, const Datatype& dt, int root) const;
-  /// MPI_Iallreduce. Non-commutative ops use a rank-ordered chain so the
-  /// reduction order matches the blocking path exactly.
+  /// MPI_Iallreduce: the blocking allreduce's schedule, so non-commutative
+  /// ops fold in the same strict rank order.
   Request iallreduce(const void* sendbuf, void* recvbuf, int count,
                      const Datatype& dt, const Op& op) const;
   void reduce(const void* sendbuf, void* recvbuf, int count, const Datatype& dt,

@@ -135,10 +135,6 @@ SweepResult run_sweep(int nodes, int ppn) {
     w.exscan(&mine, &exs, 1, Datatype::int64(), digits_op());
 
     std::lock_guard lock(mu);
-    auto append = [](std::vector<std::int64_t>& dst, const std::int64_t* src,
-                     std::size_t cnt) { dst.insert(dst.end(), src, src + cnt); };
-    // Every rank contributes in rank order so the two runs line up.
-    static_cast<void>(append);
     out.bcast.insert(out.bcast.end(), b.begin(), b.end());
     out.reduce.push_back(red);
     out.allreduce.push_back(ar);
@@ -168,7 +164,7 @@ TEST_P(CollShapes, HierMatchesFlatBitForBit) {
     flat = run_sweep(nodes(), ppn());
   }
   {
-    AlgoGuard g{"hier"};
+    AlgoGuard g{"auto"};
     hier = run_sweep(nodes(), ppn());
   }
   EXPECT_EQ(flat.bcast, hier.bcast);
@@ -196,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, CollShapes,
 // algorithm variant, including the nonblocking chain schedule.
 
 TEST(CollEngine, NonCommutativeDeterministicAcrossVariants) {
-  for (const char* algo : {"flat", "hier", "auto"}) {
+  for (const char* algo : {"flat", "auto"}) {
     AlgoGuard g{algo};
     for (ShapeParam sh : {ShapeParam{1, 4}, ShapeParam{2, 4}, ShapeParam{4, 2}}) {
       world_run(sh.nodes, sh.ppn, [&](sim::Process&) {
@@ -229,7 +225,7 @@ TEST(CollEngine, NonCommutativeDeterministicAcrossVariants) {
 // Zero counts and MPI_IN_PLACE behave identically on both paths.
 
 TEST(CollEngine, ZeroCountAndInPlaceUnderBothAlgorithms) {
-  for (const char* algo : {"flat", "hier"}) {
+  for (const char* algo : {"flat", "auto"}) {
     AlgoGuard g{algo};
     world_run(2, 4, [&](sim::Process&) {
       Communicator w = comm_world();
@@ -327,7 +323,8 @@ TEST(CollEngine, InPlaceOnNonRootRaisesBufferError) {
 // ---------------------------------------------------------------------------
 // Single-copy witness: on one node, hierarchical bcast/allreduce above the
 // eager threshold must move payload exclusively through the shared region
-// (coll.payload_copies counts same-node fabric sends with payload).
+// (coll.payload_copies counts same-node fabric sends with payload), and so
+// must their nonblocking forms, which run the same schedules.
 
 TEST(CollEngine, OnNodeHierarchicalCollectivesAreSingleCopy) {
   base::counters().reset();
@@ -343,6 +340,19 @@ TEST(CollEngine, OnNodeHierarchicalCollectivesAreSingleCopy) {
     std::vector<std::int64_t> acc(1024, 0);
     w.allreduce(buf.data(), acc.data(), 1024, Datatype::int64(), Op::sum());
     EXPECT_EQ(acc[1], 8);
+
+    std::vector<std::int64_t> ibuf(1024, w.rank() == 0 ? 77 : -1);
+    EXPECT_EQ(w.ibcast(ibuf.data(), 1024, Datatype::int64(), 0).wait().error,
+              ErrClass::success);
+    EXPECT_EQ(ibuf[1023], 77);
+    std::vector<std::int64_t> iacc(1024, 0);
+    EXPECT_EQ(w.iallreduce(buf.data(), iacc.data(), 1024, Datatype::int64(),
+                           Op::sum())
+                  .wait()
+                  .error,
+              ErrClass::success);
+    EXPECT_EQ(iacc[1], 8);
+    EXPECT_EQ(w.ibarrier().wait().error, ErrClass::success);
   });
   // A counter that was never bumped is also never registered, so an absent
   // pvar and a zero-valued one both mean "no copies happened".
@@ -350,6 +360,44 @@ TEST(CollEngine, OnNodeHierarchicalCollectivesAreSingleCopy) {
   EXPECT_GT(obs::pvar_read_counter("coll.shm_publishes").value_or(0), 0u);
   EXPECT_GT(obs::pvar_read_counter("coll.shm_bytes").value_or(0), 8u * 1024u);
   EXPECT_EQ(obs::pvar_read_counter("coll.wire_sends").value_or(0), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-range roots raise ErrClass::root through the communicator's
+// errhandler on every rooted collective, gatherv included.
+
+TEST(CollEngine, OutOfRangeRootRaisesRootError) {
+  mpi_run(1, 2, [](sim::Process&) {
+    Session s = Session::init(Info::null(), Errhandler::errors_return());
+    Communicator comm = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "coll-root", Info::null(),
+        Errhandler::errors_return());
+    std::int64_t mine = 1;
+    std::vector<std::int64_t> all(2, 0);
+    const std::vector<int> counts{1, 1};
+    const std::vector<int> displs{0, 1};
+    const auto expect_root_error = [](auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << "an out-of-range root must raise";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.error_class(), ErrClass::root);
+      }
+    };
+    for (int root : {-1, 2}) {
+      expect_root_error([&] {
+        comm.gatherv(&mine, 1, Datatype::int64(), all.data(), counts, displs,
+                     Datatype::int64(), root);
+      });
+      expect_root_error([&] {
+        comm.gather(&mine, 1, Datatype::int64(), all.data(), 1,
+                    Datatype::int64(), root);
+      });
+    }
+    comm.barrier();
+    comm.free();
+    s.finalize();
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -234,7 +234,9 @@ TEST(Matching, SeqAnomalyCountedForOutOfRangeSource) {
 TEST(MatchingConcurrency, ConcurrentBinAccessAcrossThreads) {
   // TSan witness: several adopted threads post into and match out of the
   // same communicator's bins concurrently while the sender interleaves
-  // across their tag lanes. Per-lane ordering must still hold.
+  // across their tag lanes. Per-lane ordering must still hold, and every
+  // flow's packets must dispatch in inbox order (no sequence anomaly).
+  const auto anomalies = base::counters().value("pml.seq_anomalies");
   world_run(1, 2, [](sim::Process& p) {
     Communicator world = comm_world();
     constexpr int kThreads = 3;
@@ -265,6 +267,7 @@ TEST(MatchingConcurrency, ConcurrentBinAccessAcrossThreads) {
     }
     world.barrier();
   });
+  EXPECT_EQ(base::counters().value("pml.seq_anomalies"), anomalies);
 }
 
 }  // namespace
