@@ -8,7 +8,10 @@
 //  - `--smoke`: assert the tracing-enabled latency stays within 10% of the
 //    tracing-disabled latency (CI gate for the "tens of ns per span"
 //    overhead budget). The ratio is also exported as the obs.overhead_pct
-//    counter inside COUNTERS_JSON.
+//    counter inside COUNTERS_JSON. The smoke also gates
+//    `pack_memcpy_ratio`: a 64 KiB Datatype::byte() pack+unpack against
+//    two 64 KiB memcpys in the same run, which stays near 1 while packing
+//    copies whole contiguous runs and passes 100 if it copies per element.
 
 #include "common.hpp"
 
@@ -65,6 +68,41 @@ double measure_latency_us(bool with_agree) {
   return best.max();
 }
 
+constexpr std::size_t kPackBytes = std::size_t{64} << 10;
+constexpr int kPackReps = 200;
+constexpr double kPackRatioBudget = 3.0;
+
+/// Keeps the compiler from dropping copies whose results are never read.
+void clobber(void* p) { asm volatile("" : : "r"(p) : "memory"); }
+
+/// Best-of-kPackReps time of a 64 KiB Datatype::byte() pack+unpack over
+/// that of two 64 KiB memcpys; the two are timed in alternating reps.
+double pack_memcpy_ratio() {
+  std::vector<std::byte> src(kPackBytes, std::byte{0x5A});
+  std::vector<std::byte> wire(kPackBytes);
+  std::vector<std::byte> dst(kPackBytes);
+  const int n = static_cast<int>(kPackBytes);
+  const Datatype& dt = Datatype::byte();
+  std::int64_t pack_ns = INT64_MAX;
+  std::int64_t copy_ns = INT64_MAX;
+  for (int r = 0; r < kPackReps; ++r) {
+    base::Stopwatch pack;
+    dt.pack(src.data(), n, wire.data());
+    dt.unpack(wire.data(), n, dst.data());
+    clobber(dst.data());
+    pack_ns = std::min(pack_ns, pack.elapsed_ns());
+
+    base::Stopwatch copy;
+    std::memcpy(wire.data(), src.data(), kPackBytes);
+    clobber(wire.data());
+    std::memcpy(dst.data(), wire.data(), kPackBytes);
+    clobber(dst.data());
+    copy_ns = std::min(copy_ns, copy.elapsed_ns());
+  }
+  return static_cast<double>(pack_ns) /
+         static_cast<double>(std::max<std::int64_t>(copy_ns, 1));
+}
+
 }  // namespace
 }  // namespace sessmpi::bench
 
@@ -92,6 +130,7 @@ int main(int argc, char** argv) {
   tracer.set_enabled(false);
 
   const double ratio = lat_off_us > 0 ? lat_on_us / lat_off_us : 1.0;
+  const double pack_ratio = pack_memcpy_ratio();
   base::counters().add("obs.overhead_pct",
                        static_cast<std::uint64_t>(ratio * 100.0 + 0.5));
 
@@ -103,9 +142,17 @@ int main(int argc, char** argv) {
   t.add_row({"on", base::Table::fmt(lat_on_us, 3), base::Table::fmt(ratio, 3)});
   t.print(std::cout);
 
-  // Only the overhead *ratio* is baseline-gated: absolute latency is host
-  // noise, the on/off ratio is what the obs layer owns.
+  print_header("Datatype packing: 64 KiB Datatype::byte()",
+               "pack+unpack vs two memcpys of the same bytes, best of " +
+                   std::to_string(kPackReps) + " alternating reps.");
+  std::cout << "pack_memcpy_ratio " << base::Table::fmt(pack_ratio, 3)
+            << "\n";
+
+  // Only ratios are baseline-gated: absolute latency is host noise, the
+  // on/off ratio is what the obs layer owns and the pack/memcpy ratio is
+  // what the datatype engine owns.
   record_metric("overhead_ratio", ratio, "lower");
+  record_metric("pack_memcpy_ratio", pack_ratio, "lower");
   print_counters_json("bench_pt2pt");
   print_metrics_json("bench_pt2pt");
   write_bench_json(argc, argv, "bench_pt2pt");
@@ -117,7 +164,12 @@ int main(int argc, char** argv) {
     std::cout << (pass ? "OVERHEAD_SMOKE PASS" : "OVERHEAD_SMOKE FAIL")
               << " (on/off = " << base::Table::fmt(ratio, 3)
               << ", budget 1.10)\n";
-    return pass ? 0 : 1;
+    const bool pack_pass = pack_ratio <= kPackRatioBudget;
+    std::cout << (pack_pass ? "PACK_SMOKE PASS" : "PACK_SMOKE FAIL")
+              << " (pack/memcpy = " << base::Table::fmt(pack_ratio, 3)
+              << ", budget " << base::Table::fmt(kPackRatioBudget, 1)
+              << ")\n";
+    return pass && pack_pass ? 0 : 1;
   }
   return 0;
 }

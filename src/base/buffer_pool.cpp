@@ -1,8 +1,37 @@
 #include "sessmpi/base/buffer_pool.hpp"
 
+#include <sys/mman.h>
+
 #include <new>
 
 namespace sessmpi::base {
+
+namespace {
+
+/// Blocks of kMapThreshold bytes and up are mapped straight from the OS, so
+/// a block the pool does not keep leaves the process instead of a malloc
+/// arena.
+void* allocate(std::size_t capacity) {
+  if (capacity < BufferPool::kMapThreshold) {
+    return ::operator new(capacity);
+  }
+  void* block = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (block == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return block;
+}
+
+void deallocate(void* block, std::size_t capacity) noexcept {
+  if (capacity < BufferPool::kMapThreshold) {
+    ::operator delete(block);
+  } else {
+    ::munmap(block, capacity);
+  }
+}
+
+}  // namespace
 
 BufferPool::~BufferPool() { trim(); }
 
@@ -27,7 +56,7 @@ void* BufferPool::acquire(std::size_t bytes, std::size_t* capacity) {
     // Oversized: exact allocation, never cached.
     *capacity = bytes;
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return ::operator new(bytes);
+    return allocate(bytes);
   }
   *capacity = class_bytes(cls);
   {
@@ -41,7 +70,7 @@ void* BufferPool::acquire(std::size_t bytes, std::size_t* capacity) {
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return ::operator new(class_bytes(cls));
+  return allocate(class_bytes(cls));
 }
 
 void BufferPool::release(void* block, std::size_t capacity) noexcept {
@@ -49,13 +78,13 @@ void BufferPool::release(void* block, std::size_t capacity) noexcept {
   const std::size_t cls = class_for(capacity);
   if (cls < kClasses && class_bytes(cls) == capacity) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (free_[cls].size() < kMaxCachedPerClass) {
+    if ((free_[cls].size() + 1) * capacity <= kMaxCachedBytesPerClass) {
       free_[cls].push_back(block);
       cached_bytes_ += capacity;
       return;
     }
   }
-  ::operator delete(block);
+  deallocate(block, capacity);
 }
 
 BufferPool::Stats BufferPool::stats() const {
@@ -69,14 +98,19 @@ BufferPool::Stats BufferPool::stats() const {
 }
 
 void BufferPool::trim() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& list : free_) {
-    for (void* block : list) {
-      ::operator delete(block);
+  std::vector<void*> lists[kClasses];
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+      lists[cls].swap(free_[cls]);
     }
-    list.clear();
+    cached_bytes_ = 0;
   }
-  cached_bytes_ = 0;
+  for (std::size_t cls = 0; cls < kClasses; ++cls) {
+    for (void* block : lists[cls]) {
+      deallocate(block, class_bytes(cls));
+    }
+  }
 }
 
 }  // namespace sessmpi::base

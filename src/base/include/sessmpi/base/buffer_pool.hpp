@@ -10,9 +10,13 @@
 // the retransmission window, chaos filters, and local delivery share one
 // block instead of copying.
 //
-// Blocks above the largest size class (1 MiB) fall through to the system
-// allocator and are never cached — rendezvous payloads that big are rare
-// and not worth pinning.
+// Each class caches at most kMaxCachedBytesPerClass bytes, so the pool pins
+// a bounded amount of memory whatever burst filled it. Blocks of
+// kMapThreshold bytes and up are mapped straight from the OS: one the pool
+// does not keep is unmapped and leaves RSS, instead of parking in a malloc
+// arena. Blocks above the largest size class (1 MiB) are exact mappings
+// and never cached — rendezvous payloads that big are rare and not worth
+// pinning.
 
 #include <atomic>
 #include <cstddef>
@@ -48,7 +52,7 @@ class BufferPool {
   void* acquire(std::size_t bytes, std::size_t* capacity);
 
   /// Returns a block obtained from acquire(). Blocks whose capacity is a
-  /// size class are cached (up to a per-class cap); others are freed.
+  /// size class are cached (up to the per-class byte cap); others are freed.
   void release(void* block, std::size_t capacity) noexcept;
 
   [[nodiscard]] Stats stats() const;
@@ -59,7 +63,8 @@ class BufferPool {
   static constexpr std::size_t kMinBlock = 64;
   static constexpr std::size_t kClasses = 15;  ///< 64 B .. 1 MiB
   static constexpr std::size_t kMaxBlock = kMinBlock << (kClasses - 1);
-  static constexpr std::size_t kMaxCachedPerClass = 256;
+  static constexpr std::size_t kMaxCachedBytesPerClass = std::size_t{4} << 20;
+  static constexpr std::size_t kMapThreshold = std::size_t{64} << 10;
 
  private:
   /// Smallest class whose block size holds `bytes`, or kClasses if too big.

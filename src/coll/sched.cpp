@@ -213,12 +213,7 @@ bool Sched::poll() {
 }
 
 void Sched::start(Step& st) {
-  // Wire steps move whole elements of the operation's type when it is
-  // dense: packing runs per element, so bytes would cost several times more.
-  const bool dense = st.bytes > 0 && dt_.size() == dt_.extent() &&
-                     st.bytes % dt_.extent() == 0;
-  const Datatype& wire_dt = dense ? dt_ : Datatype::byte();
-  const int elems = static_cast<int>(dense ? st.bytes / dt_.extent() : st.bytes);
+  const int bytes = static_cast<int>(st.bytes);
   switch (st.kind) {
     case Kind::send: {
       // A send completes locally, so a peer already known dead must be
@@ -227,8 +222,8 @@ void Sched::start(Step& st) {
         bad_ = st.peer;
         throw Error(ErrClass::rte_proc_failed, "collective peer failed");
       }
-      st.req = ps_.isend_impl(s_, st.src, elems, wire_dt, st.peer, st.tag,
-                              false);
+      st.req = ps_.isend_impl(s_, st.src, bytes, Datatype::byte(), st.peer,
+                              st.tag, false);
       static const auto c_sends = base::counter("coll.wire_sends");
       static const auto c_bytes = base::counter("coll.wire_bytes");
       static const auto c_copies = base::counter("coll.payload_copies");
@@ -246,7 +241,8 @@ void Sched::start(Step& st) {
       // One byte of capacity on an empty edge, so a marker is not
       // truncated away.
       st.req = ps_.irecv_impl(s_, st.bytes > 0 ? st.dst : &sink_,
-                              std::max(elems, 1), wire_dt, st.peer, st.tag);
+                              std::max(bytes, 1), Datatype::byte(), st.peer,
+                              st.tag);
       posted_.push_back(st.req);
       break;
     case Kind::copy:

@@ -14,6 +14,8 @@ struct Datatype::Impl {
   int count = 1;                     // blocks
   int blocklength = 1;               // base elements per block
   int stride = 1;                    // base elements between block starts
+  // size == extent: the elements of `count` items form one gapless run.
+  bool dense = true;
 };
 
 namespace {
@@ -28,44 +30,37 @@ Datatype::Impl make_primitive(Datatype::Kind kind, std::string name,
   return impl;
 }
 
-/// Pack one element of a (possibly nested) type into contiguous wire form.
-void pack_element(const Datatype::Impl& impl, const std::byte* mem,
-                  std::byte* wire) {
-  if (!impl.base) {
-    std::memcpy(wire, mem, impl.size);
-    return;
+// Moves one contiguous run of `n` bytes; the argument order names the
+// direction (memory -> wire packs, wire -> memory unpacks).
+void move_run(const std::byte* mem, std::byte* wire, std::size_t n) {
+  if (n > 0) {
+    std::memcpy(wire, mem, n);
   }
-  const Datatype::Impl& b = *impl.base;
-  std::size_t wire_off = 0;
-  for (int blk = 0; blk < impl.count; ++blk) {
-    const std::size_t mem_off =
-        static_cast<std::size_t>(blk) * static_cast<std::size_t>(impl.stride) *
-        b.extent;
-    for (int e = 0; e < impl.blocklength; ++e) {
-      pack_element(b, mem + mem_off + static_cast<std::size_t>(e) * b.extent,
-                   wire + wire_off);
-      wire_off += b.size;
-    }
+}
+void move_run(std::byte* mem, const std::byte* wire, std::size_t n) {
+  if (n > 0) {
+    std::memcpy(mem, wire, n);
   }
 }
 
-/// Inverse of pack_element.
-void unpack_element(const Datatype::Impl& impl, const std::byte* wire,
-                    std::byte* mem) {
-  if (!impl.base) {
-    std::memcpy(mem, wire, impl.size);
+/// Moves `count` elements of `t` between memory and wire form in whole
+/// contiguous runs: a dense type is one run, a vector of a dense base one
+/// run per block; only bases that are not dense are descended into.
+template <class Mem, class Wire>
+void move_runs(const Datatype::Impl& t, std::size_t count, Mem* mem,
+               Wire* wire) {
+  if (t.dense) {
+    move_run(mem, wire, count * t.size);
     return;
   }
-  const Datatype::Impl& b = *impl.base;
-  std::size_t wire_off = 0;
-  for (int blk = 0; blk < impl.count; ++blk) {
-    const std::size_t mem_off =
-        static_cast<std::size_t>(blk) * static_cast<std::size_t>(impl.stride) *
-        b.extent;
-    for (int e = 0; e < impl.blocklength; ++e) {
-      unpack_element(b, wire + wire_off,
-                     mem + mem_off + static_cast<std::size_t>(e) * b.extent);
-      wire_off += b.size;
+  const Datatype::Impl& b = *t.base;
+  const auto blocklength = static_cast<std::size_t>(t.blocklength);
+  const std::size_t stride = static_cast<std::size_t>(t.stride) * b.extent;
+  for (std::size_t i = 0; i < count; ++i, mem += t.extent) {
+    for (int blk = 0; blk < t.count; ++blk) {
+      move_runs(b, blocklength, mem + static_cast<std::size_t>(blk) * stride,
+                wire);
+      wire += blocklength * b.size;
     }
   }
 }
@@ -101,6 +96,7 @@ Datatype Datatype::contiguous(int count, const Datatype& base) {
   impl->stride = 1;
   impl->size = static_cast<std::size_t>(count) * base.size();
   impl->extent = static_cast<std::size_t>(count) * base.extent();
+  impl->dense = impl->size == impl->extent;
   return Datatype{impl};
 }
 
@@ -130,6 +126,7 @@ Datatype Datatype::vector(int count, int blocklength, int stride,
                  static_cast<std::size_t>(stride) +
              static_cast<std::size_t>(blocklength)) *
                 base.extent();
+  impl->dense = impl->size == impl->extent;
   return Datatype{impl};
 }
 
@@ -140,18 +137,16 @@ bool Datatype::is_primitive() const noexcept { return impl_->base == nullptr; }
 Datatype::Kind Datatype::kind() const noexcept { return impl_->kind; }
 
 void Datatype::pack(const void* src, int count, std::byte* dst) const {
-  const auto* mem = static_cast<const std::byte*>(src);
-  for (int i = 0; i < count; ++i) {
-    pack_element(*impl_, mem + static_cast<std::size_t>(i) * impl_->extent,
-                 dst + static_cast<std::size_t>(i) * impl_->size);
+  if (count > 0) {
+    move_runs(*impl_, static_cast<std::size_t>(count),
+              static_cast<const std::byte*>(src), dst);
   }
 }
 
 void Datatype::unpack(const std::byte* src, int count, void* dst) const {
-  auto* mem = static_cast<std::byte*>(dst);
-  for (int i = 0; i < count; ++i) {
-    unpack_element(*impl_, src + static_cast<std::size_t>(i) * impl_->size,
-                   mem + static_cast<std::size_t>(i) * impl_->extent);
+  if (count > 0) {
+    move_runs(*impl_, static_cast<std::size_t>(count),
+              static_cast<std::byte*>(dst), src);
   }
 }
 

@@ -17,6 +17,23 @@ std::size_t packed_bytes(int count, const Datatype& dt) {
   return static_cast<std::size_t>(count) * dt.size();
 }
 
+/// Unpacks a matched payload into the receive buffer, truncated to the
+/// buffer's capacity; sets `st.count_bytes` and, when cut, `st.error`.
+void unpack_payload(const RequestImpl& req, const fabric::Packet& pkt,
+                    Status& st) {
+  const std::size_t cap = req.dt ? packed_bytes(req.capacity, *req.dt) : 0;
+  std::size_t bytes = pkt.payload.size();
+  if (bytes > cap) {
+    st.error = ErrClass::truncate;
+    bytes = cap;
+  }
+  if (req.dt && bytes > 0) {
+    const int elements = static_cast<int>(bytes / req.dt->size());
+    req.dt->unpack(pkt.payload.data(), elements, req.buf);
+  }
+  st.count_bytes = bytes;
+}
+
 constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
@@ -280,19 +297,7 @@ void ProcState::deliver(CommState& comm, const RequestPtr& req,
     return;  // completion happens on rndv_data
   }
 
-  // Eager payload: unpack with truncation handling.
-  const std::size_t cap =
-      req->dt ? packed_bytes(req->capacity, *req->dt) : 0;
-  std::size_t bytes = pkt.payload.size();
-  if (bytes > cap) {
-    st.error = ErrClass::truncate;
-    bytes = cap;
-  }
-  if (req->dt && bytes > 0) {
-    const int elements = static_cast<int>(bytes / req->dt->size());
-    req->dt->unpack(pkt.payload.data(), elements, req->buf);
-  }
-  st.count_bytes = bytes;
+  unpack_payload(*req, pkt, st);
 
   if (pkt.token != 0) {
     // Synchronous send: acknowledge the match.
@@ -389,18 +394,7 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
       RequestPtr req = it->second;
       recv_tokens.erase(it);
       Status st;
-      st.source = req->status.source;  // set at match time? recompute below
-      const std::size_t cap = req->dt ? packed_bytes(req->capacity, *req->dt) : 0;
-      std::size_t bytes = pkt.payload.size();
-      if (bytes > cap) {
-        st.error = ErrClass::truncate;
-        bytes = cap;
-      }
-      if (req->dt && bytes > 0) {
-        const int elements = static_cast<int>(bytes / req->dt->size());
-        req->dt->unpack(pkt.payload.data(), elements, req->buf);
-      }
-      st.count_bytes = bytes;
+      unpack_payload(*req, pkt, st);
       st.source = req->rndv_source;
       st.tag = req->rndv_tag;
       req->finish(st);

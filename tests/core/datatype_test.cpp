@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 namespace sessmpi {
@@ -120,6 +124,197 @@ TEST(Datatype, NamesAreDescriptive) {
   EXPECT_EQ(Datatype::int32().name(), "int32");
   Datatype c = Datatype::contiguous(3, Datatype::int64());
   EXPECT_EQ(c.name(), "contiguous(3,int64)");
+}
+
+// ---------------------------------------------------------------------------
+// Packing against an element-by-element reference
+// ---------------------------------------------------------------------------
+
+/// A type built twice: once as a Datatype, once as the structure the
+/// reference packer walks one primitive element at a time.
+struct Shape {
+  Datatype dt;
+  std::shared_ptr<const Shape> base;  // null for primitives
+  int count = 1;
+  int blocklength = 1;
+  int stride = 1;
+};
+
+Shape primitive(const Datatype& dt) { return Shape{dt, nullptr, 1, 1, 1}; }
+
+Shape contiguous(int count, const Shape& base) {
+  return Shape{Datatype::contiguous(count, base.dt),
+               std::make_shared<const Shape>(base), count, 1, 1};
+}
+
+Shape vector(int count, int blocklength, int stride, const Shape& base) {
+  return Shape{Datatype::vector(count, blocklength, stride, base.dt),
+               std::make_shared<const Shape>(base), count, blocklength,
+               stride};
+}
+
+/// Reference packer: one memcpy per primitive element.
+void ref_pack_element(const Shape& t, const std::byte* mem, std::byte*& wire) {
+  if (!t.base) {
+    std::memcpy(wire, mem, t.dt.size());
+    wire += t.dt.size();
+    return;
+  }
+  const std::size_t ext = t.base->dt.extent();
+  for (int blk = 0; blk < t.count; ++blk) {
+    for (int e = 0; e < t.blocklength; ++e) {
+      ref_pack_element(*t.base, mem + (std::size_t(blk) * t.stride + e) * ext,
+                       wire);
+    }
+  }
+}
+
+void ref_unpack_element(const Shape& t, const std::byte*& wire,
+                        std::byte* mem) {
+  if (!t.base) {
+    std::memcpy(mem, wire, t.dt.size());
+    wire += t.dt.size();
+    return;
+  }
+  const std::size_t ext = t.base->dt.extent();
+  for (int blk = 0; blk < t.count; ++blk) {
+    for (int e = 0; e < t.blocklength; ++e) {
+      ref_unpack_element(*t.base, wire,
+                         mem + (std::size_t(blk) * t.stride + e) * ext);
+    }
+  }
+}
+
+std::vector<std::byte> ref_pack(const Shape& t, const std::byte* mem,
+                                int count) {
+  std::vector<std::byte> wire(t.dt.size() * count);
+  std::byte* w = wire.data();
+  for (int i = 0; i < count; ++i) {
+    ref_pack_element(t, mem + i * t.dt.extent(), w);
+  }
+  return wire;
+}
+
+void ref_unpack(const Shape& t, const std::byte* wire, int count,
+                std::byte* mem) {
+  for (int i = 0; i < count; ++i) {
+    ref_unpack_element(t, wire, mem + i * t.dt.extent());
+  }
+}
+
+std::vector<std::byte> pattern(std::size_t n, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) {
+    b = static_cast<std::byte>(gen());
+  }
+  return v;
+}
+
+/// pack/unpack of `count` elements match the reference byte for byte;
+/// unpack leaves the gaps between blocks untouched.
+void expect_matches_reference(const Shape& t, int count, std::uint32_t seed) {
+  SCOPED_TRACE(t.dt.name() + " x" + std::to_string(count));
+  const std::size_t mem_bytes = t.dt.extent() * count;
+  const std::vector<std::byte> mem = pattern(mem_bytes, seed);
+  const std::vector<std::byte> want = ref_pack(t, mem.data(), count);
+  std::vector<std::byte> got(want.size());
+  t.dt.pack(mem.data(), count, got.data());
+  EXPECT_EQ(got, want);
+
+  const std::vector<std::byte> wire = pattern(want.size(), seed + 1);
+  std::vector<std::byte> want_mem = pattern(mem_bytes, seed + 2);
+  std::vector<std::byte> got_mem = want_mem;
+  ref_unpack(t, wire.data(), count, want_mem.data());
+  t.dt.unpack(wire.data(), count, got_mem.data());
+  EXPECT_EQ(got_mem, want_mem);
+}
+
+/// A random nested type of up to `depth` derived levels, gaps included.
+Shape random_shape(std::mt19937& gen, int depth) {
+  const Datatype* prims[] = {&Datatype::byte(), &Datatype::int32(),
+                             &Datatype::float64()};
+  Shape t = primitive(*prims[gen() % 3]);
+  for (int d = 0; d < depth; ++d) {
+    const int count = static_cast<int>(gen() % 4);
+    const int blocklength = static_cast<int>(gen() % 4);
+    switch (gen() % 3) {
+      case 0:
+        t = contiguous(count, t);
+        break;
+      case 1:  // stride == blocklength: dense when the base is
+        t = vector(count, blocklength, blocklength, t);
+        break;
+      default:
+        t = vector(count, blocklength,
+                   blocklength + 1 + static_cast<int>(gen() % 3), t);
+        break;
+    }
+  }
+  return t;
+}
+
+TEST(DatatypePack, SeededShapesMatchReference) {
+  std::mt19937 gen(20191);
+  for (int i = 0; i < 400; ++i) {
+    const Shape t = random_shape(gen, 1 + static_cast<int>(gen() % 3));
+    expect_matches_reference(t, static_cast<int>(gen() % 4), gen());
+  }
+}
+
+TEST(DatatypePack, NestedVectorAndContiguous) {
+  const Shape f64 = primitive(Datatype::float64());
+  const Shape i32 = primitive(Datatype::int32());
+  expect_matches_reference(contiguous(3, vector(2, 1, 3, i32)), 2, 1);
+  expect_matches_reference(vector(3, 2, 4, contiguous(2, f64)), 3, 2);
+  expect_matches_reference(vector(2, 1, 2, vector(3, 2, 3, i32)), 2, 3);
+  expect_matches_reference(
+      contiguous(2, vector(2, 2, 5, contiguous(3, vector(2, 1, 2, i32)))), 2,
+      4);
+}
+
+TEST(DatatypePack, VectorWithStrideEqualBlocklengthIsDense) {
+  const Shape f64 = primitive(Datatype::float64());
+  const Shape v = vector(4, 3, 3, f64);
+  EXPECT_EQ(v.dt.size(), v.dt.extent());
+  expect_matches_reference(v, 5, 5);
+  // Dense packing is the identity on bytes.
+  const std::vector<std::byte> mem = pattern(v.dt.extent() * 5, 6);
+  std::vector<std::byte> wire(mem.size());
+  v.dt.pack(mem.data(), 5, wire.data());
+  EXPECT_EQ(wire, mem);
+}
+
+TEST(DatatypePack, VectorsOfNonDenseBases) {
+  const Shape i32 = primitive(Datatype::int32());
+  const Shape col = vector(3, 1, 2, i32);
+  EXPECT_LT(col.dt.size(), col.dt.extent());
+  expect_matches_reference(vector(2, 2, 2, col), 3, 7);
+  expect_matches_reference(vector(3, 2, 4, col), 2, 8);
+  expect_matches_reference(contiguous(4, col), 2, 9);
+}
+
+TEST(DatatypePack, ZeroCountWithNullBufferIsANoOp) {
+  for (const Datatype& dt :
+       {Datatype::byte(), Datatype::float64(),
+        Datatype::vector(3, 1, 2, Datatype::int32())}) {
+    dt.pack(nullptr, 0, nullptr);
+    dt.unpack(nullptr, 0, nullptr);
+  }
+}
+
+TEST(DatatypePack, ZeroLengthTypes) {
+  const Shape f64 = primitive(Datatype::float64());
+  const Shape empty = contiguous(0, f64);
+  EXPECT_EQ(empty.dt.size(), 0u);
+  empty.dt.pack(nullptr, 4, nullptr);
+  empty.dt.unpack(nullptr, 4, nullptr);
+  // Blocks of zero elements: no bytes on the wire, but a memory extent.
+  const Shape hollow = vector(3, 0, 2, f64);
+  EXPECT_EQ(hollow.dt.size(), 0u);
+  expect_matches_reference(hollow, 3, 10);
+  expect_matches_reference(vector(2, 1, 2, empty), 2, 11);
+  expect_matches_reference(contiguous(3, vector(2, 0, 1, f64)), 2, 12);
 }
 
 }  // namespace
