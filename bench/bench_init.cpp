@@ -60,13 +60,13 @@ InitResult measure(int nodes, int ppn) {
 
 // --- 4k-16k scale cells (ISSUE: 10k-rank init scalability) ---------------
 //
-// One cell = one (nodes, ppn, sched, modex) configuration, timed over the
+// One cell = one (nodes, ppn, sched) configuration, timed over the
 // sessions-only path: Session_init + Group_from_pset + create_from_group,
 // then a one-neighbour ring exchange — the minimal "active peers" pattern
 // the lazy modex is sized for (each rank resolves exactly one endpoint) —
 // and a barrier. The world-model half of Figure 3 is deliberately skipped:
-// at 16k ranks an eager world modex is the O(n^2) behaviour this PR
-// removes, not a baseline worth waiting for.
+// these cells size the sessions path, which Figure 3 already compares
+// against MPI_Init at paper scale.
 //
 // Cells are meant to run as separate invocations (--scale-nodes=N): VmHWM
 // is a process-lifetime high-water mark, so per-cell memory is only
@@ -74,7 +74,7 @@ InitResult measure(int nodes, int ppn) {
 
 struct ScaleCell {
   int nodes = 0, ppn = 0;
-  std::string sched, modex;
+  std::string sched;
   double sess_total_ms = 0, sess_handle_ms = 0, sess_comm_ms = 0;
   double wall_s = 0;
   std::uint64_t lazy_fetches = 0, cache_hits = 0, fiber_switches = 0;
@@ -82,13 +82,11 @@ struct ScaleCell {
   long peak_kib = 0;  // peak address space: includes reserved rank stacks
 };
 
-ScaleCell scale_run(int nodes, int ppn, const std::string& sched,
-                    const std::string& modex) {
+ScaleCell scale_run(int nodes, int ppn, const std::string& sched) {
   ScaleCell cell;
   cell.nodes = nodes;
   cell.ppn = ppn;
   cell.sched = sched;
-  cell.modex = modex;
   const auto fetches0 =
       obs::pvar_read_counter("pmix.modex_lazy_fetches").value_or(0);
   const auto hits0 =
@@ -141,7 +139,7 @@ void print_scale_cell(const ScaleCell& c) {
   const long n = static_cast<long>(c.nodes) * c.ppn;
   std::cout << "SCALE_RESULT {\"bench\": \"bench_init\", \"nodes\": "
             << c.nodes << ", \"ppn\": " << c.ppn << ", \"ranks\": " << n
-            << ", \"sched\": \"" << c.sched << "\", \"modex\": \"" << c.modex
+            << ", \"sched\": \"" << c.sched
             << "\", \"sess_total_ms\": " << base::Table::fmt(c.sess_total_ms)
             << ", \"sess_handle_ms\": " << base::Table::fmt(c.sess_handle_ms)
             << ", \"sess_comm_ms\": " << base::Table::fmt(c.sess_comm_ms)
@@ -153,7 +151,7 @@ void print_scale_cell(const ScaleCell& c) {
             << ", \"vm_peak_kib\": " << c.peak_kib << "}\n";
 }
 
-// CI gate: 4096 ranks, fibers + lazy modex, under a wall-clock budget, and
+// CI gate: 4096 ranks on fibers, under a wall-clock budget, and
 // the lazy modex must stay O(active peers): the ring + barrier touch a
 // handful of endpoints per rank, so total fetches must sit in [n, 8n] —
 // orders of magnitude below the n^2 of a full modex.
@@ -163,8 +161,7 @@ int smoke(int argc, char** argv) {
       std::strtod(arg_value(argc, argv, "--budget=").value_or("120").c_str(),
                   nullptr);
   obs::cvar_write("sim.scheduler", "fibers");
-  obs::cvar_write("pmix.modex", "lazy");
-  const ScaleCell c = scale_run(kNodes, kPpn, "fibers", "lazy");
+  const ScaleCell c = scale_run(kNodes, kPpn, "fibers");
   print_scale_cell(c);
   const std::uint64_t n = static_cast<std::uint64_t>(kNodes) * kPpn;
   bool ok = true;
@@ -221,7 +218,7 @@ int main(int argc, char** argv) {
       sessmpi::bench::trace_dir_from_args(argc, argv);
   using namespace sessmpi;
   using namespace sessmpi::bench;
-  const auto [sched, modex] = apply_mode_flags(argc, argv);
+  const std::string sched = apply_mode_flags(argc, argv);
 
   if (flag_present(argc, argv, "--smoke")) {
     std::cout << "bench_init --smoke: 4096-rank Session_init gate "
@@ -236,8 +233,8 @@ int main(int argc, char** argv) {
     const int ppn =
         std::atoi(arg_value(argc, argv, "--scale-ppn=").value_or("64").c_str());
     std::cout << "bench_init scale cell: " << nodes << " nodes x " << ppn
-              << " ppn, sched=" << sched << ", modex=" << modex << "\n";
-    print_scale_cell(scale_run(nodes, ppn, sched, modex));
+              << " ppn, sched=" << sched << "\n";
+    print_scale_cell(scale_run(nodes, ppn, sched));
     print_counters_json("bench_init_scale");
     flush_trace(trace_dir, "bench_init_scale");
     return 0;

@@ -245,20 +245,27 @@ int run_smoke(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-// --- congestion-control / multi-rail loss sweep (DESIGN.md §17) -----------
+// --- loss-recovery / multi-rail sweep (DESIGN.md §17) ---------------------
 
-/// One sweep cell: a fresh 2-node cluster with the given engine/rails and a
-/// seeded drop fraction, measuring the 16 KiB osu_mbw_mr message rate. The
-/// zero cost model plus a deliberately large RTO (40 ms base, TCP-like vs
-/// the 1 ms ack tick) make the cell a pure loss-recovery measurement: the
-/// fixed engine repairs every loss by RTO expiry, the adaptive engines by
-/// SACK-driven fast retransmit within a tick or two, and the rate gap
-/// between them is exactly the recovery-latency gap. Tail losses (the last
-/// packet of a window, or the reverse-direction window ack) generate no
-/// dup-acks and cost every engine one RTO, which is why the adaptive gain
-/// saturates rather than growing without bound.
-double sweep_cell_msg_rate(double drop, fabric::CcEngine engine, int rails,
-                           std::uint64_t* escalations) {
+/// What one sweep cell measured: the message rate plus the fabric's repair
+/// counters, so the sweep can say how the losses were repaired.
+struct SweepCell {
+  double rate = 0;                  ///< 16 KiB msg/s, rank 0
+  std::uint64_t retransmits = 0;    ///< every repair (RTO, fast, probe)
+  std::uint64_t fast = 0;           ///< dup-ack/SACK fast retransmits
+  std::uint64_t probes = 0;         ///< tail-loss probes
+  std::uint64_t escalations = 0;    ///< retry exhaustion (a lost message)
+};
+
+/// One sweep cell: a fresh 2-node cluster with `rails` rails and a seeded
+/// drop fraction, measuring the 16 KiB osu_mbw_mr message rate. The zero
+/// cost model plus a deliberately large RTO (40 ms base, TCP-like vs the
+/// 1 ms ack tick) make the cell a pure loss-recovery measurement: SACK
+/// fast retransmit repairs a hole within a tick or two and a tail-loss
+/// probe within ~5 ms, while a loss neither sees waits out the full RTO.
+/// The rate lost to drops is therefore the recovery-latency cost, and an
+/// RTO-only fabric would lose two orders of magnitude of it at 5% drop.
+SweepCell sweep_cell(double drop, int rails) {
   sim::Cluster::Options o;
   o.topo = {2, 1};  // one pair, inter-node
   o.cost = base::CostModel::zero();
@@ -267,7 +274,6 @@ double sweep_cell_msg_rate(double drop, fabric::CcEngine engine, int rails,
   o.reliability.rto_cap_ns = 200'000'000;
   o.reliability.max_retries = 100;
   fabric::CcConfig cc;
-  cc.engine = engine;
   cc.rails = rails;
   cc.stripe_threshold = 4096;  // 16 KiB messages stripe across all rails
   o.reliability.cc = cc;
@@ -291,8 +297,9 @@ double sweep_cell_msg_rate(double drop, fabric::CcEngine engine, int rails,
     }
     finalize();
   });
-  *escalations += cluster.fabric().rto_escalations();
-  return rate.mean();
+  const fabric::Fabric& fab = cluster.fabric();
+  return {rate.mean(), fab.retransmits(), fab.fast_retransmits(),
+          fab.tlp_probes(), fab.rto_escalations()};
 }
 
 /// Large-message bandwidth with `rails` active and no loss, measured at the
@@ -306,7 +313,6 @@ double sweep_cell_msg_rate(double drop, fabric::CcEngine engine, int rails,
 double rails_bw_cell(int rails) {
   fabric::ReliabilityConfig rel;
   fabric::CcConfig cc;
-  cc.engine = fabric::CcEngine::fixed;  // isolate striping from windowing
   cc.rails = rails;
   cc.stripe_threshold = 256 * 1024;
   rel.cc = cc;
@@ -331,54 +337,56 @@ double rails_bw_cell(int rails) {
   return static_cast<double>(kSize) * kN / secs / 1e6;  // MB/s
 }
 
-/// `--loss-sweep`: the drop x engine x rails matrix plus the no-loss
-/// multi-rail bandwidth scaling, with the two §17 acceptance gates:
-/// adaptive recovery >= 3x the fixed engine's message rate at 5% drop, and
-/// 4-rail striped bandwidth >= 2x single-rail for >= 256 KiB messages.
+/// `--loss-sweep`: the drop x rails matrix plus the no-loss multi-rail
+/// bandwidth scaling, with the §17 acceptance gates: graceful degradation
+/// (the 5%-drop rate keeps at least kMinLoss5Retained of the 0%-drop rate,
+/// both best-of-3 at rails=1), at least kMinRtoFreeRepairPct of all repairs
+/// made without waiting out an RTO, 4-rail striped bandwidth >= 2x
+/// single-rail for >= 256 KiB messages, and no lost message anywhere in the
+/// matrix. The floors sit well under the measured band and well over what
+/// RTO-only recovery reaches (EXPERIMENTS.md, loss-sweep section).
 int run_loss_sweep(int argc, char** argv) {
+  constexpr double kMinLoss5Retained = 0.015;
+  constexpr double kMinRtoFreeRepairPct = 70.0;
   const std::vector<double> drops{0.0, 0.01, 0.02, 0.05, 0.10};
-  const std::vector<fabric::CcEngine> engines{
-      fabric::CcEngine::fixed, fabric::CcEngine::aimd, fabric::CcEngine::cubic};
   const std::vector<int> rails_set{1, 2, 4};
 
   std::uint64_t escalations = 0;
-  // rate[rails][drop][engine]
-  std::map<int, std::map<double, std::map<fabric::CcEngine, double>>> rate;
+  std::uint64_t repairs = 0;
+  std::uint64_t rto_free = 0;
+  std::map<int, std::map<double, double>> rate;  // rate[rails][drop]
   for (int rails : rails_set) {
     for (double drop : drops) {
-      for (fabric::CcEngine engine : engines) {
-        // The 5% row carries the CI gate: repeat it and keep the best run
-        // (symmetrically, for every engine). A cell is one short kernel,
-        // so a single unlucky scheduler stall or chained double-RTO can
-        // halve it; max-of-3 measures the mechanism, not the noise.
-        const int reps = drop == 0.05 ? 3 : 1;
-        double best = 0;
-        for (int rep = 0; rep < reps; ++rep) {
-          best = std::max(
-              best, sweep_cell_msg_rate(drop, engine, rails, &escalations));
-        }
-        rate[rails][drop][engine] = best;
+      // The 0% and 5% rows carry the CI gate: repeat them and keep the
+      // best run. A cell is one short kernel, so a single unlucky
+      // scheduler stall or chained double-RTO can halve it; max-of-3
+      // measures the mechanism, not the noise.
+      const int reps = drop == 0.0 || drop == 0.05 ? 3 : 1;
+      double best = 0;
+      for (int rep = 0; rep < reps; ++rep) {
+        const SweepCell c = sweep_cell(drop, rails);
+        best = std::max(best, c.rate);
+        escalations += c.escalations;
+        repairs += c.retransmits;
+        rto_free += c.fast + c.probes;
       }
+      rate[rails][drop] = best;
     }
   }
 
-  for (int rails : rails_set) {
-    print_header("Loss sweep, rails=" + std::to_string(rails),
-                 "16 KiB osu_mbw_mr message rate (msg/s) vs seeded drop "
-                 "fraction; zero-cost wire, RTO 40-200 ms, 1 ms ack tick.");
-    base::Table t({"drop", "fixed", "aimd", "cubic", "aimd/fixed"});
-    for (double drop : drops) {
-      const auto& row = rate[rails][drop];
-      t.add_row({base::Table::fmt(drop * 100, 0) + "%",
-                 base::Table::fmt(row.at(fabric::CcEngine::fixed), 0),
-                 base::Table::fmt(row.at(fabric::CcEngine::aimd), 0),
-                 base::Table::fmt(row.at(fabric::CcEngine::cubic), 0),
-                 base::Table::fmt(row.at(fabric::CcEngine::aimd) /
-                                      row.at(fabric::CcEngine::fixed),
-                                  2)});
-    }
-    t.print(std::cout);
+  print_header("Loss sweep",
+               "16 KiB osu_mbw_mr message rate (msg/s) vs seeded drop "
+               "fraction and rails; zero-cost wire, RTO 40-200 ms, 1 ms ack "
+               "tick.");
+  base::Table t({"drop", "rails=1", "rails=2", "rails=4", "rails=1 vs 0%"});
+  for (double drop : drops) {
+    t.add_row({base::Table::fmt(drop * 100, 0) + "%",
+               base::Table::fmt(rate[1][drop], 0),
+               base::Table::fmt(rate[2][drop], 0),
+               base::Table::fmt(rate[4][drop], 0),
+               base::Table::fmt(rate[1][drop] / rate[1][0.0], 3)});
   }
+  t.print(std::cout);
 
   std::map<int, double> bw;
   for (int rails : rails_set) {
@@ -394,29 +402,31 @@ int run_loss_sweep(int argc, char** argv) {
   }
   bt.print(std::cout);
 
-  const double aimd_gain =
-      rate[1][0.05][fabric::CcEngine::aimd] /
-      rate[1][0.05][fabric::CcEngine::fixed];
-  const double cubic_gain =
-      rate[1][0.05][fabric::CcEngine::cubic] /
-      rate[1][0.05][fabric::CcEngine::fixed];
+  const double retained = rate[1][0.05] / rate[1][0.0];
+  const double rto_free_pct =
+      repairs == 0 ? 0.0
+                   : 100.0 * static_cast<double>(rto_free) /
+                         static_cast<double>(repairs);
   const double rail_speedup = bw[4] / bw[1];
-  record_metric("loss5_aimd_over_fixed", aimd_gain, "higher");
-  record_metric("loss5_cubic_over_fixed", cubic_gain, "higher");
+  record_metric("loss5_rate_retained", retained, "higher");
+  record_metric("rto_free_repair_pct", rto_free_pct, "higher");
   record_metric("rails4_bw_speedup", rail_speedup, "higher");
   record_metric("sweep_escalations", static_cast<double>(escalations),
                 "lower");
-  std::cout << "\naimd/fixed at 5% drop: " << base::Table::fmt(aimd_gain, 2)
-            << " (gate >= 3)\ncubic/fixed at 5% drop: "
-            << base::Table::fmt(cubic_gain, 2)
-            << " (gate >= 3)\nrails=4 bandwidth speedup: "
+  std::cout << "\n5%-drop rate / 0%-drop rate (rails=1): "
+            << base::Table::fmt(retained, 3) << " (gate >= "
+            << kMinLoss5Retained << ")\nrepairs without an RTO: "
+            << base::Table::fmt(rto_free_pct, 1) << "% of " << repairs
+            << " (gate >= " << kMinRtoFreeRepairPct
+            << "%)\nrails=4 bandwidth speedup: "
             << base::Table::fmt(rail_speedup, 2)
             << " (gate >= 2)\nrto escalations (lost messages): " << escalations
             << " (gate == 0)\n";
   print_counters_json("bench_mbw_mr_loss");
   print_metrics_json("bench_mbw_mr_loss");
   write_bench_json(argc, argv, "bench_mbw_mr_loss");
-  const bool ok = aimd_gain >= 3.0 && cubic_gain >= 3.0 &&
+  const bool ok = retained >= kMinLoss5Retained &&
+                  rto_free_pct >= kMinRtoFreeRepairPct &&
                   rail_speedup >= 2.0 && escalations == 0;
   std::cout << (ok ? "LOSS_SWEEP PASS\n" : "LOSS_SWEEP FAIL\n");
   return ok ? 0 : 1;

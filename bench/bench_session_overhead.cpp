@@ -57,10 +57,10 @@ SessionCosts measure(int nodes, int ppn) {
 int main(int argc, char** argv) {
   using namespace sessmpi;
   using namespace sessmpi::bench;
-  const auto [sched, modex] = apply_mode_flags(argc, argv);
+  const std::string sched = apply_mode_flags(argc, argv);
   std::cout << "bench_session_overhead: Session_init cost decomposition "
                "(§III-B5 restructuring), sched="
-            << sched << ", modex=" << modex << "\n";
+            << sched << "\n";
   print_header("Session_init cost by position in the init cycle",
                "ms per Session_init; overlapping sessions share the live "
                "subsystems via reference counting.");

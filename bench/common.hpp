@@ -13,7 +13,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sessmpi/base/clock.hpp"
@@ -23,7 +22,6 @@
 #include "sessmpi/obs/trace.hpp"
 #include "sessmpi/obs/trace_json.hpp"
 #include "sessmpi/obs/tvar.hpp"
-#include "sessmpi/pmix/client.hpp"
 #include "sessmpi/sim/cluster.hpp"
 #include "sessmpi/sim/scheduler.hpp"
 
@@ -210,27 +208,18 @@ inline void flush_metrics(const std::optional<int>& period,
   std::cout << "METRICS=" << path << " (" << lines << " samples)\n";
 }
 
-/// Apply `--sched=threads|fibers` and `--modex=eager|lazy` (if present) to
-/// the `sim.scheduler` / `pmix.modex` cvars, so one bench binary can be
-/// invoked once per sweep cell. Returns the effective {sched, modex} pair.
-inline std::pair<std::string, std::string> apply_mode_flags(int argc,
-                                                            char** argv) {
+/// Apply `--sched=threads|fibers` (if present) to the `sim.scheduler` cvar,
+/// so one bench binary can be invoked once per sweep cell. Returns the
+/// effective scheduler.
+inline std::string apply_mode_flags(int argc, char** argv) {
   sim::register_scheduler_cvar();
-  pmix::register_modex_cvar();
   if (auto v = arg_value(argc, argv, "--sched=")) {
     if (!obs::cvar_write("sim.scheduler", *v)) {
       std::cerr << "bad --sched=" << *v << " (threads|fibers)\n";
       std::exit(2);
     }
   }
-  if (auto v = arg_value(argc, argv, "--modex=")) {
-    if (!obs::cvar_write("pmix.modex", *v)) {
-      std::cerr << "bad --modex=" << *v << " (eager|lazy)\n";
-      std::exit(2);
-    }
-  }
-  return {obs::cvar_read("sim.scheduler").value_or("?"),
-          obs::cvar_read("pmix.modex").value_or("?")};
+  return obs::cvar_read("sim.scheduler").value_or("?");
 }
 
 /// Peak RSS ("VmHWM") or current RSS ("VmRSS") in KiB from

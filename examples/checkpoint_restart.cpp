@@ -75,7 +75,7 @@ int main() {
     // Survivors detect the failure: the next runtime fence aborts.
     std::vector<pmix::ProcId> all(kRanks);
     for (int i = 0; i < kRanks; ++i) all[static_cast<std::size_t>(i)] = i;
-    auto st = proc.pmix_client->fence(all, false,
+    auto st = proc.pmix_client->fence(all,
                                       base::Nanos(std::chrono::seconds(2)));
     if (proc.rank() == 0) {
       std::printf("survivors: fence after failure -> %s; rolling forward\n",

@@ -60,8 +60,7 @@ int main() {
     if (proc.rank() == 0) {
       // Client 0: a runtime fence with the dead peer aborts instead of
       // hanging (timeout + failure oracle), and the failure is reported.
-      auto st = pmix.fence({0, 1}, false,
-                           base::Nanos(std::chrono::seconds(2)));
+      auto st = pmix.fence({0, 1}, base::Nanos(std::chrono::seconds(2)));
       std::printf("rank 0 (client): fence with dead peer -> %s\n",
                   std::string(err_class_name(st.cls)).c_str());
       ++failures_observed;

@@ -60,9 +60,8 @@ struct CostModel {
   // --- PMIx server-side costs ---------------------------------------------
   std::int64_t srv_rpc_ns = 400'000;            ///< client<->local-server RPC
   std::int64_t modex_per_peer_ns = 150'000;     ///< unpack/store one peer's
-                                                ///< endpoint blob (eager modex
-                                                ///< pays this n times at init;
-                                                ///< lazy pays per first contact)
+                                                ///< endpoint blob, paid once
+                                                ///< per first contact
   std::int64_t fence_base_ns = 8'000'000;       ///< server all-to-all, base
   std::int64_t fence_per_node_ns = 4'000'000;   ///< per log2(servers) step
   std::int64_t group_construct_base_ns = 16'000'000; ///< PGCID group construct, base

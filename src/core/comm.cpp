@@ -76,12 +76,6 @@ Communicator Communicator::create_from_group(const Group& group,
     std::lock_guard lock(ps.mu);
     ++ps.pgcids;
   }
-  // Eager modex on the sessions path: the PGCID collective completing
-  // proves every member has initialized (and therefore published), so the
-  // full-group prefetch is safe here. Lazy mode defers to first contact.
-  if (pmix::modex_mode() == pmix::ModexMode::eager) {
-    ps.pmix().prefetch_peer_info(group.members(), "pml.endpoint");
-  }
   auto comm = [&] {
     OBS_SPAN("cid.excid_alloc", "core");
     return ps.register_comm(group, ExCidSpace::fresh(pgcid.value()),

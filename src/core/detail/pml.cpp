@@ -722,10 +722,11 @@ void ProcState::resolve_endpoint(const std::shared_ptr<CommState>& comm,
     auto v = pmix().peer_info(global, "pml.endpoint");
     if (!v.ok()) {
       if (v.error() == ErrClass::rte_proc_failed) {
-        // Negative cache: the peer died before it ever published. Escalate
-        // instead of letting the first send block forever on a void peer.
-        throw Error(ErrClass::rte_proc_failed,
-                    "peer failed before first contact (modex)");
+        // Negative cache: the peer died before it ever published. Mark it
+        // failed in the fabric, so this send and any receive watching the
+        // peer complete exactly as for a fabric-detected death.
+        proc.cluster().fabric().mark_failed(global);
+        return;
       }
       throw Error(v.error(), "peer endpoint resolution failed");
     }
@@ -741,7 +742,7 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
     throw Error(ErrClass::rank, "send destination out of range");
   }
   // Lazy modex: first contact with this peer fetches its endpoint blob
-  // (cache hit ever after; eager mode pre-populated the cache at init).
+  // (cache hit ever after).
   resolve_endpoint(comm, dst);
   RequestPtr req = make_request();
   req->ps = this;

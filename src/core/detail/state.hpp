@@ -256,7 +256,7 @@ struct CommState {
   /// Sparse peer table keyed by comm rank, populated on first contact. A
   /// 16k-member communicator whose rank only ever talks to a few neighbors
   /// holds a handful of entries — the dense n-entry vector per rank was
-  /// O(n^2) memory host-wide, the other half of the eager-modex problem.
+  /// O(n^2) memory host-wide, the other half of the full-modex problem.
   std::unordered_map<int, Peer> peers;
   Peer& peer_at(int r) { return peers[r]; }
   [[nodiscard]] const Peer* peer_if(int r) const {
@@ -449,8 +449,9 @@ struct ProcState {
   // --- pt2pt primitives (comm ranks; callers hold no lock) -----------------
   /// Lazy modex (DESIGN.md §15): make sure dst's endpoint blob has been
   /// fetched and cached; first contact pays one dmodex get, repeats are
-  /// free. Throws Error(rte_proc_failed) if the peer died before it ever
-  /// published (negative cache) so a send cannot hang on a void peer.
+  /// free. A peer that died before it ever published (negative cache) is
+  /// marked failed in the fabric, so the send takes the dead-peer path
+  /// (dropped on the wire, swept to rte_proc_failed) instead of hanging.
   void resolve_endpoint(const std::shared_ptr<CommState>& comm, int dst);
   RequestPtr isend_impl(const std::shared_ptr<CommState>& comm, const void* buf,
                         int count, const Datatype& dt, int dst, int tag,

@@ -17,23 +17,17 @@ namespace detail {
 void init_world_objects(ProcState& ps) {
   // Endpoint discovery: our blob was published when the pmix subsystem came
   // up (add_procs is local-only in modern Open MPI (§III-B1); the fence is
-  // what remains globally synchronizing). Under eager modex the fence
-  // collects data and every peer blob is prefetched behind it — the classic
-  // full modex, O(n) per rank. Under lazy modex (the default) the fence is
-  // a pure barrier and blobs are fetched on first contact (DESIGN.md §15).
+  // what remains globally synchronizing). The fence is a pure barrier:
+  // peer blobs are fetched on first contact (lazy modex, DESIGN.md §15).
   pmix::PmixClient& client = ps.pmix();
-  const bool eager = pmix::modex_mode() == pmix::ModexMode::eager;
   const auto& topo = ps.proc.cluster().topology();
   std::vector<pmix::ProcId> world_procs(static_cast<std::size_t>(topo.size()));
   for (int i = 0; i < topo.size(); ++i) {
     world_procs[static_cast<std::size_t>(i)] = i;
   }
-  auto st = client.fence(world_procs, /*collect_data=*/eager);
+  auto st = client.fence(world_procs);
   if (!st.ok()) {
     throw Error(st.cls, "world modex fence failed");
-  }
-  if (eager) {
-    client.prefetch_peer_info(world_procs, "pml.endpoint");
   }
 
   std::vector<base::Rank> everyone = world_procs;

@@ -11,14 +11,10 @@ namespace sessmpi::fabric {
 
 namespace {
 
-// Process-global congestion/striping knobs behind the MPI_T cvars. A
+// Process-global striping/ECN knobs behind the MPI_T cvars. A
 // Fabric snapshots them at construction (cc_config_from_cvars), so setting
 // them mid-run affects the next cluster, not in-flight flows — same
 // contract as sim.scheduler.
-std::atomic<int>& engine_flag() {
-  static std::atomic<int> v{static_cast<int>(CcEngine::fixed)};
-  return v;
-}
 std::atomic<int>& rails_flag() {
   static std::atomic<int> v{1};
   return v;
@@ -53,24 +49,6 @@ bool parse_u64(const std::string& v, std::uint64_t& out) {
 void register_fabric_cvars() {
   static std::once_flag once;
   std::call_once(once, [] {
-    obs::register_cvar(
-        "fabric.cc",
-        "per-flow congestion control engine: \"fixed\" (unlimited window, "
-        "RTO-only recovery, default), \"aimd\" (slow start + NewReno fast "
-        "retransmit/recovery + additive increase), or \"cubic\" "
-        "(W_max-anchored cubic growth)",
-        [] {
-          return std::string(cc_engine_name(
-              static_cast<CcEngine>(engine_flag().load(std::memory_order_acquire))));
-        },
-        [](const std::string& v) {
-          const auto e = cc_engine_from_name(v);
-          if (!e) {
-            return false;
-          }
-          engine_flag().store(static_cast<int>(*e), std::memory_order_release);
-          return true;
-        });
     obs::register_cvar(
         "fabric.rails",
         "per-pair rails (parallel endpoints) for striping bulk messages; "
@@ -123,8 +101,6 @@ void register_fabric_cvars() {
 CcConfig cc_config_from_cvars() {
   register_fabric_cvars();
   CcConfig cfg;
-  cfg.engine =
-      static_cast<CcEngine>(engine_flag().load(std::memory_order_acquire));
   cfg.rails = rails_flag().load(std::memory_order_acquire);
   cfg.stripe_threshold = static_cast<std::size_t>(
       stripe_threshold_flag().load(std::memory_order_acquire));

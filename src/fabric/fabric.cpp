@@ -73,17 +73,13 @@ void Fabric::dump_flow_windows(std::ostream& os) {
          << ",\"next_seq\":" << f->next_seq
          << ",\"window\":" << f->window.size()
          << ",\"cum_delivered\":" << f->cum_delivered
-         << ",\"reorder\":" << f->reorder.size();
-      if (!f->cc.unlimited()) {
-        // Congestion state is what explains a stalled flow: a collapsed
-        // cwnd in recovery reads very differently from a full window
-        // waiting on a dead peer.
-        os << ",\"cc\":\"" << cc_engine_name(f->cc.engine())
-           << "\",\"cwnd\":" << f->cc.cwnd_packets()
-           << ",\"ssthresh\":" << f->cc.ssthresh() << ",\"state\":\""
-           << cc_phase_name(f->cc.phase()) << "\"";
-      }
-      os << "}";
+         << ",\"reorder\":" << f->reorder.size()
+         // Congestion state is what explains a stalled flow: a collapsed
+         // cwnd in recovery reads very differently from a full window
+         // waiting on a dead peer.
+         << ",\"cwnd\":" << f->cc.cwnd_packets()
+         << ",\"ssthresh\":" << f->cc.ssthresh() << ",\"state\":\""
+         << cc_phase_name(f->cc.phase()) << "\"}";
       first = false;
     }
   }
@@ -130,8 +126,8 @@ Fabric::Fabric(base::Topology topo, base::CostModel cost, ReliabilityConfig rel)
       return total;
     });
     obs::register_postmortem_section("fabric.flows", Fabric::dump_flow_windows);
-    // Mean congestion window (packets) over every adaptive flow; 0 when
-    // all flows run the fixed engine.
+    // Mean congestion window (packets) over every live flow; 0 when no
+    // flow has carried traffic.
     obs::register_pvar_gauge("fabric.cwnd", [] {
       FabricRegistry& reg = fabric_registry();
       std::lock_guard lock(reg.mu);
@@ -140,10 +136,8 @@ Fabric::Fabric(base::Topology topo, base::CostModel cost, ReliabilityConfig rel)
       for (Fabric* fab : reg.live) {
         for (const Flow* f : fab->active_flows()) {
           std::lock_guard flock(f->mu);
-          if (!f->cc.unlimited()) {
-            sum += f->cc.cwnd_packets();
-            ++count;
-          }
+          sum += f->cc.cwnd_packets();
+          ++count;
         }
       }
       return count == 0 ? 0 : sum / count;
@@ -547,19 +541,15 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
       ++newly_acked;
     }
   }
-  if (f.cc.unlimited()) {
-    return;  // fixed engine: the ack bookkeeping above is all there is
-  }
-  const std::int64_t now = base::now_ns();
   const std::uint64_t highest_sent = f.next_seq - 1;
   if (newly_acked > 0) {
-    f.cc.on_acked(newly_acked, cum, now);
-    f.last_progress_ns = now;
+    f.cc.on_acked(newly_acked, cum);
+    f.last_progress_ns = base::now_ns();
     f.tlp_fired = false;
   }
   if (ece && is_explicit) {
     const std::uint64_t before = f.cc.cwnd_packets();
-    f.cc.on_ecn_echo(cum, highest_sent, now);
+    f.cc.on_ecn_echo(cum, highest_sent);
     if (f.cc.cwnd_packets() < before) {
       static const auto ecn_dec_counter =
           base::counter("fabric.ecn_decreases");
@@ -580,7 +570,7 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
     // Duplicate ack: the cumulative edge is stuck while the receiver holds
     // out-of-order data — evidence of a hole, i.e. loss. The third one
     // triggers fast retransmit + fast recovery (CcState decides).
-    mark_holes = f.cc.on_dup_ack(highest_sent, now);
+    mark_holes = f.cc.on_dup_ack(highest_sent);
   } else if (f.cc.phase() == CcPhase::recovery && newly_acked > 0 &&
              cum < f.cc.recover_seq()) {
     // NewReno partial ack: the edge moved but not past the loss episode —
@@ -662,16 +652,12 @@ void Fabric::deliver(Packet&& pkt) {
       f.ack_pending = true;
     }
   }
-  // Adaptive engines are ack-clocked: the sender cannot grow or refill its
-  // cwnd until acknowledgments arrive, so batching acks to the pump tick
-  // would quantize the whole flow to tick granularity. Echo an ack per
-  // segment (TCP-style), which also makes dup-acks — the fast-retransmit
-  // trigger — immediate instead of up-to-a-tick late. The fixed engine
-  // keeps the original batched pump ack: it is not ack-clocked, and the
-  // default wire behavior stays bit-identical.
-  if (cc_.engine != CcEngine::fixed) {
-    flush_ack(f);
-  }
+  // The window is ack-clocked: the sender cannot grow or refill its cwnd
+  // until acknowledgments arrive, so batching acks to the pump tick would
+  // quantize the whole flow to tick granularity. Echo an ack per segment
+  // (TCP-style), which also makes dup-acks — the fast-retransmit trigger —
+  // immediate instead of up-to-a-tick late.
+  flush_ack(f);
 }
 
 void Fabric::release_in_order(Packet&& pkt) {
@@ -723,7 +709,7 @@ void Fabric::reassemble(Packet&& seg) {
 }
 
 // ---------------------------------------------------------------------------
-// Pump: batched ACKs, timeout-driven retransmission, escalation
+// Pump: tail-loss probes, timeout-driven retransmission, escalation
 // ---------------------------------------------------------------------------
 
 void Fabric::flush_ack(Flow& f) {
@@ -862,13 +848,12 @@ bool Fabric::pump_pass() {
         to_retransmit.push_back({entry.pkt, seq, entry.rto_ns, false});
         rto_fired = true;
       }
-      if (rto_fired && !f.cc.unlimited()) {
+      if (rto_fired) {
         // One window collapse per pass, however many entries expired —
         // they are all the same loss episode (CcState guards besides).
-        f.cc.on_rto(f.next_seq - 1, now);
+        f.cc.on_rto(f.next_seq - 1);
       }
-      if (!f.cc.unlimited() && !f.window.empty() && !f.tlp_fired &&
-          !rto_fired) {
+      if (!f.window.empty() && !f.tlp_fired && !rto_fired) {
         // Tail-loss probe (RACK-TLP style): a tail loss — the last packet
         // of a burst, or the repair of an already-fast-retransmitted hole
         // — generates no dup-acks, so SACK recovery cannot see it and the
@@ -878,11 +863,15 @@ bool Fabric::pump_pass() {
         // an immediate SACK ack that restarts dup-ack recovery. The
         // probe leaves RTO deadlines, retry budgets, and cwnd untouched —
         // it is a probe, not a loss verdict.
+        // A parked tail is still being charged its wire time by the
+        // sending thread (or waits on a retransmit): the flow is busy, not
+        // silent, and no ack can exist for it yet.
         const std::int64_t tlp_ns = std::max<std::int64_t>(
             2 * rel_.tick_ns, rel_.rto_base_ns / 8);
-        if (now - f.last_progress_ns >= tlp_ns) {
+        auto& last = *std::prev(f.window.end());
+        if (!last.second.deadline.parked() &&
+            now - f.last_progress_ns >= tlp_ns) {
           f.tlp_fired = true;
-          auto& last = *std::prev(f.window.end());
           to_retransmit.push_back(
               {last.second.pkt, last.first, last.second.rto_ns,
                /*fast=*/false, /*tlp=*/true});

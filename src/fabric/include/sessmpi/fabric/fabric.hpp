@@ -10,10 +10,13 @@
 // Reliable delivery (DESIGN.md §9): the fabric guarantees exactly-once,
 // in-order delivery per (src,dst) flow even when the chaos drop filter eats
 // packets. Every sequenced packet is stamped with a flow sequence number and
-// retained in a sender-side unacked window; a fabric-owned pump thread
-// retransmits entries whose RTO expired (exponential backoff), flushes
-// batched cumulative/selective ACKs, and — after `max_retries` consecutive
-// losses — escalates the peer to a mark_failed-style unreachable verdict.
+// retained in a sender-side unacked window bounded by the flow's congestion
+// window (cc.hpp). Receivers answer every sequenced arrival with a
+// cumulative/selective ACK; three duplicates fast-retransmit the SACK holes.
+// A fabric-owned pump thread fires tail-loss probes after an ack silence,
+// retransmits entries whose RTO expired (exponential backoff), and — after
+// `max_retries` consecutive losses — escalates the peer to a
+// mark_failed-style unreachable verdict.
 // Receivers suppress retransmit-induced duplicates and hold out-of-order
 // arrivals in a reorder buffer, so the pt2pt matching engine above never
 // sees a duplicate or an overtaking message.
@@ -61,7 +64,7 @@ class Endpoint {
 /// model (wire latencies of 0.2–0.6 ms): the RTO comfortably exceeds one
 /// wire time plus the ACK-flush tick, so lossless runs never retransmit.
 struct ReliabilityConfig {
-  /// Pump period: batched-ACK flush + retransmit scan granularity.
+  /// Pump period: retransmit / tail-loss-probe scan granularity.
   std::int64_t tick_ns = 1'000'000;  // 1 ms
   /// RTO for the first retransmit = rto_base_ns + the packet's modeled wire
   /// time; subsequent retries back off exponentially up to rto_cap_ns.
@@ -72,10 +75,10 @@ struct ReliabilityConfig {
   int max_retries = 10;
   /// Cap on selective-ACK entries carried by one flow_ack packet.
   std::size_t max_sack_entries = 16;
-  /// Congestion control + striping policy (DESIGN.md §17). nullopt means
-  /// "snapshot the fabric.cc / fabric.rails / fabric.stripe_threshold cvars
-  /// at construction" — tests and benches that want a specific engine set
-  /// this directly.
+  /// Congestion window + striping policy (DESIGN.md §17). nullopt means
+  /// "snapshot the fabric.rails / fabric.stripe_threshold cvars at
+  /// construction" — tests and benches that want a specific window or rail
+  /// count set this directly.
   std::optional<CcConfig> cc;
 };
 
@@ -207,7 +210,7 @@ class Fabric {
     return fast_retransmits_.load(std::memory_order_relaxed);
   }
   /// Tail-loss probes: highest-unacked retransmissions fired after an ack
-  /// silence, repairing tail losses dup-acks cannot see (adaptive only).
+  /// silence, repairing tail losses dup-acks cannot see.
   [[nodiscard]] std::uint64_t tlp_probes() const noexcept {
     return tlp_probes_.load(std::memory_order_relaxed);
   }
@@ -271,7 +274,7 @@ class Fabric {
     std::map<std::uint64_t, Unacked> window;
     /// Wall clock of the last forward progress on the tx side — a newly
     /// windowed packet or an ack that retired one. The tail-loss probe
-    /// timer (adaptive engines only) measures silence from here.
+    /// timer measures silence from here.
     std::int64_t last_progress_ns = 0;
     /// One tail-loss probe per silence episode; re-armed by ack progress.
     bool tlp_fired = false;

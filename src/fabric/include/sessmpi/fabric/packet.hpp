@@ -67,10 +67,9 @@ inline constexpr std::size_t kExtHeaderBytes = 18;
 /// piggybacked cumulative ACK for the reverse flow, a 2-bit rail id, and
 /// the two ECN bits (CE set by a congested modeled link, ECE echoed by the
 /// receiver in flow_acks) — the congestion-control additions ride in the
-/// four bits the 48+48 layout left spare, so kFlowHeaderBytes stays 12 and
-/// `fabric.cc=fixed` runs are byte-identical to the pre-cc wire (DESIGN.md
-/// §17). seq == 0 marks an unsequenced packet (flow_ack control traffic,
-/// which must not itself be acknowledged).
+/// four bits the 48+48 layout left spare, so kFlowHeaderBytes stays 12
+/// (DESIGN.md §17). seq == 0 marks an unsequenced packet (flow_ack control
+/// traffic, which must not itself be acknowledged).
 struct FlowHeader {
   std::uint64_t seq = 0;  ///< flow sequence number; 0 = unsequenced
   std::uint64_t ack = 0;  ///< cumulative ACK for the reverse (dst->src) flow

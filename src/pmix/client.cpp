@@ -1,7 +1,6 @@
 #include "sessmpi/pmix/client.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 #include <unordered_set>
 
@@ -15,11 +14,6 @@
 namespace sessmpi::pmix {
 
 namespace {
-
-std::atomic<int>& modex_flag() {
-  static std::atomic<int> mode{1};  // 0 = eager, 1 = lazy (the default)
-  return mode;
-}
 
 /// FNV-1a over the participant list: disambiguates concurrent collectives
 /// that share a tag but involve different process subsets.
@@ -44,38 +38,6 @@ int nodes_spanned(const base::Topology& topo, const std::vector<ProcId>& procs) 
 }
 
 }  // namespace
-
-void register_modex_cvar() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    obs::register_cvar(
-        "pmix.modex",
-        "endpoint exchange: \"lazy\" (fetch-on-first-contact with per-rank "
-        "cache, default) or \"eager\" (full n-peer prefetch at init)",
-        [] {
-          return modex_flag().load(std::memory_order_acquire) == 0
-                     ? std::string("eager")
-                     : std::string("lazy");
-        },
-        [](const std::string& v) {
-          if (v == "eager") {
-            modex_flag().store(0, std::memory_order_release);
-            return true;
-          }
-          if (v == "lazy") {
-            modex_flag().store(1, std::memory_order_release);
-            return true;
-          }
-          return false;
-        });
-  });
-}
-
-ModexMode modex_mode() {
-  register_modex_cvar();
-  return modex_flag().load(std::memory_order_acquire) == 0 ? ModexMode::eager
-                                                           : ModexMode::lazy;
-}
 
 PmixClient::PmixClient(PmixRuntime& runtime, ProcId self)
     : runtime_(runtime), self_(self) {
@@ -193,31 +155,6 @@ base::Result<Value> PmixClient::peer_info(ProcId proc, const std::string& key,
   }
 }
 
-void PmixClient::prefetch_peer_info(const std::vector<ProcId>& procs,
-                                    const std::string& key) {
-  OBS_SPAN_ARG("pmix.modex.prefetch", "pmix", procs.size());
-  // One RPC covers the bulk transfer; the per-peer unpack cost is what
-  // makes eager modex O(n) per rank.
-  runtime_.server_of(self_).rpc_delay();
-  std::int64_t uncached = 0;
-  for (ProcId p : procs) {
-    {
-      std::lock_guard lock(modex_mu_);
-      auto pit = peer_cache_.find(p);
-      if (pit != peer_cache_.end() && pit->second.contains(key)) {
-        continue;
-      }
-    }
-    auto v = runtime_.datastore().get_immediate(p, key);
-    if (v) {
-      std::lock_guard lock(modex_mu_);
-      peer_cache_[p][key] = *v;
-      ++uncached;
-    }
-  }
-  base::precise_delay(runtime_.cost().modex_per_peer_ns * uncached);
-}
-
 base::Result<std::shared_ptr<const std::vector<ProcId>>>
 PmixClient::pset_snapshot(const std::string& name) {
   runtime_.server_of(self_).rpc_delay();
@@ -323,13 +260,9 @@ CollectiveEngine::Outcome PmixClient::hier_collective(
 }
 
 base::RtStatus PmixClient::fence(const std::vector<ProcId>& procs,
-                                 bool collect_data,
                                  std::optional<base::Nanos> timeout) {
   if (std::find(procs.begin(), procs.end(), self_) == procs.end()) {
     return base::RtStatus::fail(base::ErrClass::rte_bad_param);
-  }
-  if (collect_data) {
-    runtime_.datastore().commit(self_);
   }
   OBS_SPAN_ARG("pmix.fence", "pmix", procs.size());
   const std::int64_t t0 = base::now_ns();

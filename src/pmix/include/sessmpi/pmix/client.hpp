@@ -31,18 +31,6 @@ struct GroupResult {
   std::vector<ProcId> members;
 };
 
-/// Modex strategy (`pmix.modex` cvar). eager = every rank prefetches every
-/// peer's endpoint blob behind the init fence (O(n) per rank, O(n^2) across
-/// the job — the classic full modex); lazy = endpoint blobs are fetched on
-/// first contact only and cached (O(active peers); DESIGN.md §15).
-enum class ModexMode { eager, lazy };
-
-/// Current mode from the `pmix.modex` cvar ("eager" | "lazy"; default lazy).
-[[nodiscard]] ModexMode modex_mode();
-
-/// Idempotent registration of the `pmix.modex` cvar.
-void register_modex_cvar();
-
 class PmixClient {
  public:
   /// PMIx_Init: attaches to the node-local server (cost: one serialized RPC
@@ -75,15 +63,11 @@ class PmixClient {
   /// (counter pmix.modex_lazy_fetches, cost modex_per_peer_ns + RPC) and
   /// waits — yielding under the cooperative scheduler — for the peer to
   /// publish. A peer that died before ever publishing lands in the negative
-  /// cache and every call returns rte_proc_failed immediately, so a first
-  /// send to a dead rank escalates instead of hanging.
+  /// cache and every call returns rte_proc_failed immediately; the PML then
+  /// marks it failed in the fabric, so a first send to a dead rank takes the
+  /// ordinary dead-peer path instead of hanging.
   base::Result<Value> peer_info(ProcId proc, const std::string& key,
                                 base::Nanos timeout = std::chrono::seconds(2));
-  /// Eager-modex bulk prefetch: populate the cache for every `proc` (callers
-  /// guarantee all of them have already committed, e.g. behind the world
-  /// fence). Charges modex_per_peer_ns per uncached peer.
-  void prefetch_peer_info(const std::vector<ProcId>& procs,
-                          const std::string& key);
 
   /// Shared pset-membership snapshot (one RPC): all ranks resolving the
   /// same pset in the same failure epoch share ONE members vector owned by
@@ -97,7 +81,6 @@ class PmixClient {
   /// Collective barrier over `procs` (must contain self). Events queued for
   /// this process are delivered (handlers invoked) before returning.
   base::RtStatus fence(const std::vector<ProcId>& procs,
-                       bool collect_data = false,
                        std::optional<base::Nanos> timeout = std::nullopt);
 
   // --- groups --------------------------------------------------------------

@@ -96,8 +96,8 @@ TEST(Packet, PureControlPacketsNeverCarryTraceContext) {
 TEST(Packet, EcnAndRailBitsCostZeroWireBytes) {
   // The CE/ECE bits and the 2-bit rail id pack into the four spare bits of
   // the 46+46-bit flow header layout (DESIGN.md §17): setting them must not
-  // move any modeled header size, or `fabric.cc=fixed` loses its
-  // bit-compatibility guarantee. These golden sizes are the CI gate.
+  // move any modeled header size, or every modeled wire time shifts. These
+  // golden sizes are the CI gate.
   for (const auto kind :
        {PacketKind::eager, PacketKind::eager_ext, PacketKind::rndv_rts,
         PacketKind::rndv_data, PacketKind::flow_ack, PacketKind::comm_revoke}) {

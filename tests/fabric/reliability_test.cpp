@@ -85,37 +85,36 @@ TEST(Reliability, ExactlyOnceInOrderUnderSeededLoss) {
 }
 
 TEST(Reliability, AdaptiveEnginesPreserveExactlyOnceUnderSeededLoss) {
-  // The same seeded-loss contract as above, but with the congestion window
-  // engaged: aimd and cubic must not change delivery semantics, only
-  // pacing. At 10% loss the SACK/dup-ack path fires, so most repairs are
-  // fast retransmits rather than RTO expiries (DESIGN.md §17).
-  for (const CcEngine engine : {CcEngine::aimd, CcEngine::cubic}) {
-    ReliabilityConfig rel = fast_rel();
-    CcConfig cc;
-    cc.engine = engine;
-    rel.cc = cc;
-    auto f = make_fabric(rel);
-    auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-    f.set_drop_filter(seeded_drop(counter, 0x10c5 + 17, 0.1));
-    constexpr int kPackets = 400;
-    for (int i = 0; i < kPackets; ++i) {
-      f.send(make_packet(0, 1, i));
-    }
-    ASSERT_TRUE(f.quiesce(60s)) << cc_engine_name(engine);
-    f.set_drop_filter(nullptr);
-    EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kPackets))
-        << cc_engine_name(engine);
-    for (int i = 0; i < kPackets; ++i) {
-      auto got = f.endpoint(1).inbox().try_pop();
-      ASSERT_TRUE(got.has_value()) << cc_engine_name(engine) << " i " << i;
-      EXPECT_EQ(got->match.tag, i);  // in-order despite loss + windowing
-    }
-    EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
-    EXPECT_GT(f.retransmits(), 0u) << cc_engine_name(engine);
-    EXPECT_GT(f.fast_retransmits(), 0u) << cc_engine_name(engine);
-    EXPECT_EQ(f.rto_escalations(), 0u) << cc_engine_name(engine);
-    EXPECT_EQ(f.unacked(), 0u) << cc_engine_name(engine);
+  // The same seeded-loss contract as above, but with an explicit congestion
+  // config whose initial window binds from the first packet: the window
+  // must not change delivery semantics, only pacing. At 10% loss the
+  // SACK/dup-ack path fires, so most repairs are fast retransmits rather
+  // than RTO expiries (DESIGN.md §17).
+  ReliabilityConfig rel = fast_rel();
+  CcConfig cc;
+  cc.initial_window = cc.min_cwnd;
+  rel.cc = cc;
+  auto f = make_fabric(rel);
+  ASSERT_EQ(f.cc_config().initial_window, cc.min_cwnd);
+  auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
+  f.set_drop_filter(seeded_drop(counter, 0x10c5 + 17, 0.1));
+  constexpr int kPackets = 400;
+  for (int i = 0; i < kPackets; ++i) {
+    f.send(make_packet(0, 1, i));
   }
+  ASSERT_TRUE(f.quiesce(60s));
+  f.set_drop_filter(nullptr);
+  EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    auto got = f.endpoint(1).inbox().try_pop();
+    ASSERT_TRUE(got.has_value()) << "i " << i;
+    EXPECT_EQ(got->match.tag, i);  // in-order despite loss + windowing
+  }
+  EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
+  EXPECT_GT(f.retransmits(), 0u);
+  EXPECT_GT(f.fast_retransmits(), 0u);
+  EXPECT_EQ(f.rto_escalations(), 0u);
+  EXPECT_EQ(f.unacked(), 0u);
 }
 
 TEST(Reliability, LostAcksCauseDupSuppressionNotDoubleDelivery) {

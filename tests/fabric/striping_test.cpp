@@ -25,8 +25,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-ReliabilityConfig striped_rel(CcEngine engine, int rails,
-                              std::size_t stripe_threshold,
+ReliabilityConfig striped_rel(int rails, std::size_t stripe_threshold,
                               int max_retries = 100) {
   ReliabilityConfig rel;
   rel.tick_ns = 100'000;       // 0.1 ms pump
@@ -34,17 +33,15 @@ ReliabilityConfig striped_rel(CcEngine engine, int rails,
   rel.rto_cap_ns = 2'000'000;  // 2 ms cap
   rel.max_retries = max_retries;
   CcConfig cc;
-  cc.engine = engine;
   cc.rails = rails;
   cc.stripe_threshold = stripe_threshold;
   rel.cc = cc;
   return rel;
 }
 
-Fabric make_striped_fabric(CcEngine engine, int rails,
-                           std::size_t stripe_threshold) {
+Fabric make_striped_fabric(int rails, std::size_t stripe_threshold) {
   return Fabric{base::Topology{1, 4}, base::CostModel::zero(),
-                striped_rel(engine, rails, stripe_threshold)};
+                striped_rel(rails, stripe_threshold)};
 }
 
 std::uint64_t splitmix(std::uint64_t x) {
@@ -101,7 +98,7 @@ Fabric::PacketFilter seeded_drop(std::shared_ptr<std::atomic<std::uint64_t>> n,
 }
 
 TEST(Striping, SegmentsCarryStripeHeadersAndReassembleBitwise) {
-  auto f = make_striped_fabric(CcEngine::fixed, 4, 4096);
+  auto f = make_striped_fabric(4, 4096);
   // Uneven total: 4 segments of 2500/2500/2500/2499 bytes exercise the
   // deterministic remainder split.
   constexpr std::size_t kBytes = 9999;
@@ -121,7 +118,7 @@ TEST(Striping, SegmentsCarryStripeHeadersAndReassembleBitwise) {
 }
 
 TEST(Striping, BelowThresholdAndSingleRailStayUnstriped) {
-  auto f = make_striped_fabric(CcEngine::fixed, 4, 4096);
+  auto f = make_striped_fabric(4, 4096);
   f.send(make_bulk(0, 1, 3, 4095));  // one byte under the threshold
   ASSERT_TRUE(f.quiesce(60s));
   auto got = f.endpoint(1).inbox().try_pop();
@@ -131,7 +128,7 @@ TEST(Striping, BelowThresholdAndSingleRailStayUnstriped) {
     EXPECT_EQ(f.rail_striped_bytes(r), 0u) << "rail " << r;
   }
 
-  auto single = make_striped_fabric(CcEngine::fixed, 1, 4096);
+  auto single = make_striped_fabric(1, 4096);
   single.send(make_bulk(0, 1, 4, 1 << 16));
   ASSERT_TRUE(single.quiesce(60s));
   got = single.endpoint(1).inbox().try_pop();
@@ -141,47 +138,42 @@ TEST(Striping, BelowThresholdAndSingleRailStayUnstriped) {
 }
 
 TEST(Striping, RandomSegmentLossAndReorderRoundTripsBitwise) {
-  // Property test: every (engine, loss) combination must deliver every
-  // message exactly once, bitwise intact, whatever segments were lost or
-  // overtaken. Loss is confined to the lossy rail's segments by the
-  // per-rail windows — healthy rails never stall.
-  for (const CcEngine engine :
-       {CcEngine::fixed, CcEngine::aimd, CcEngine::cubic}) {
-    for (const double loss : {0.05, 0.2}) {
-      auto f = make_striped_fabric(engine, 4, 2048);
-      auto drops = std::make_shared<std::atomic<std::uint64_t>>(0);
-      f.set_drop_filter(seeded_drop(
-          drops, 0xabcd + static_cast<std::uint64_t>(engine), loss));
-      auto reorders = std::make_shared<std::atomic<std::uint64_t>>(0);
-      f.set_reorder_filter(seeded_drop(reorders, 0x5eed, 0.15));
-      constexpr int kMessages = 24;
-      std::vector<std::size_t> sizes;
-      for (int i = 0; i < kMessages; ++i) {
-        // Mix of striped (>= 2048) and unstriped sizes, some uneven.
-        sizes.push_back(1000 + static_cast<std::size_t>(
-                                   splitmix(static_cast<std::uint64_t>(i)) %
-                                   20000));
-        f.send(make_bulk(0, 1, static_cast<std::uint64_t>(i + 1), sizes.back()));
-      }
-      ASSERT_TRUE(f.quiesce(120s))
-          << "engine " << cc_engine_name(engine) << " loss " << loss;
-      f.set_drop_filter(nullptr);
-      f.set_reorder_filter(nullptr);
-      EXPECT_EQ(f.endpoint(1).delivered(),
-                static_cast<std::uint64_t>(kMessages));
-      std::vector<bool> seen(kMessages, false);
-      for (int i = 0; i < kMessages; ++i) {
-        auto got = f.endpoint(1).inbox().try_pop();
-        ASSERT_TRUE(got.has_value()) << "message " << i;
-        const auto idx = static_cast<std::size_t>(got->token - 1);
-        ASSERT_LT(idx, seen.size());
-        EXPECT_FALSE(seen[idx]) << "duplicate logical message " << idx;
-        seen[idx] = true;
-        EXPECT_TRUE(payload_matches(got->payload, sizes[idx], got->token))
-            << "message " << idx << " engine " << cc_engine_name(engine);
-      }
-      EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
+  // Property test: every loss rate must deliver every message exactly
+  // once, bitwise intact, whatever segments were lost or overtaken. Loss
+  // is confined to the lossy rail's segments by the per-rail windows —
+  // healthy rails never stall.
+  for (const double loss : {0.05, 0.2}) {
+    auto f = make_striped_fabric(4, 2048);
+    auto drops = std::make_shared<std::atomic<std::uint64_t>>(0);
+    f.set_drop_filter(seeded_drop(drops, 0xabce, loss));
+    auto reorders = std::make_shared<std::atomic<std::uint64_t>>(0);
+    f.set_reorder_filter(seeded_drop(reorders, 0x5eed, 0.15));
+    constexpr int kMessages = 24;
+    std::vector<std::size_t> sizes;
+    for (int i = 0; i < kMessages; ++i) {
+      // Mix of striped (>= 2048) and unstriped sizes, some uneven.
+      sizes.push_back(1000 + static_cast<std::size_t>(
+                                 splitmix(static_cast<std::uint64_t>(i)) %
+                                 20000));
+      f.send(make_bulk(0, 1, static_cast<std::uint64_t>(i + 1), sizes.back()));
     }
+    ASSERT_TRUE(f.quiesce(120s)) << "loss " << loss;
+    f.set_drop_filter(nullptr);
+    f.set_reorder_filter(nullptr);
+    EXPECT_EQ(f.endpoint(1).delivered(),
+              static_cast<std::uint64_t>(kMessages));
+    std::vector<bool> seen(kMessages, false);
+    for (int i = 0; i < kMessages; ++i) {
+      auto got = f.endpoint(1).inbox().try_pop();
+      ASSERT_TRUE(got.has_value()) << "message " << i;
+      const auto idx = static_cast<std::size_t>(got->token - 1);
+      ASSERT_LT(idx, seen.size());
+      EXPECT_FALSE(seen[idx]) << "duplicate logical message " << idx;
+      seen[idx] = true;
+      EXPECT_TRUE(payload_matches(got->payload, sizes[idx], got->token))
+          << "message " << idx << " loss " << loss;
+    }
+    EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
   }
 }
 
@@ -189,7 +181,7 @@ TEST(Striping, LostSegmentChargesPerSegmentCounters) {
   // Satellite fix regression: one lost segment of a 4-way-striped message
   // must charge fabric.retransmits once and fabric.bytes_dropped for that
   // segment's bytes — not once (or 4x) per logical message.
-  auto f = make_striped_fabric(CcEngine::fixed, 4, 4096);
+  auto f = make_striped_fabric(4, 4096);
   constexpr std::size_t kBytes = 8192;  // 4 segments of 2048
   std::atomic<bool> dropped_one{false};
   f.set_drop_filter([&dropped_one](const Packet& p) {
@@ -214,10 +206,10 @@ TEST(Striping, LostSegmentChargesPerSegmentCounters) {
 }
 
 TEST(Striping, FlowWindowDumpCarriesCongestionStateAndRail) {
-  // Postmortem satellite: fabric.flows must explain a stalled adaptive
-  // flow — per-rail identity plus cwnd/ssthresh/state — so a collapsed
-  // window in recovery is distinguishable from a dead peer.
-  auto f = make_striped_fabric(CcEngine::aimd, 4, 2048);
+  // Postmortem satellite: fabric.flows must explain a stalled flow —
+  // per-rail identity plus cwnd/ssthresh/state — so a collapsed window in
+  // recovery is distinguishable from a dead peer.
+  auto f = make_striped_fabric(4, 2048);
   // Eat every flow_ack: the striped segments deliver but the sender
   // windows can never retire, so the dump sees live per-rail flows.
   f.set_drop_filter(
@@ -232,7 +224,6 @@ TEST(Striping, FlowWindowDumpCarriesCongestionStateAndRail) {
   Fabric::dump_flow_windows(os);
   const std::string dump = os.str();
   EXPECT_NE(dump.find("\"rail\":2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"cc\":\"aimd\""), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"cwnd\":"), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"ssthresh\":"), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"state\":\""), std::string::npos) << dump;
@@ -244,7 +235,7 @@ TEST(Striping, ConcurrentMultiRailTrafficIsRaceFree) {
   // TSan witness: several sender threads stripe bulk messages in both
   // directions while the pump retransmits and processes per-rail acks
   // concurrently. Run under the CI thread-sanitizer job via test_fabric.
-  auto f = make_striped_fabric(CcEngine::aimd, 4, 2048);
+  auto f = make_striped_fabric(4, 2048);
   auto drops = std::make_shared<std::atomic<std::uint64_t>>(0);
   f.set_drop_filter(seeded_drop(drops, 0x7ac3, 0.1));
   constexpr int kThreads = 4;

@@ -93,7 +93,7 @@ TEST(Integration, FaultIsolationBetweenSessions) {
       // Client 0 observes the failure through PMIx events (polled via
       // fences) rather than hanging forever: a fence with the dead member
       // aborts.
-      auto st = client.fence({0, 1}, false, base::Nanos(std::chrono::seconds(2)));
+      auto st = client.fence({0, 1}, base::Nanos(std::chrono::seconds(2)));
       EXPECT_FALSE(st.ok());
       return;
     }
@@ -124,7 +124,7 @@ TEST(Integration, ReinitAfterFailureWithFewerProcesses) {
       return;
     }
     // Survivors: first attempt involves the dead rank and fails.
-    auto st = p.pmix_client->fence({0, 1, 2}, false,
+    auto st = p.pmix_client->fence({0, 1, 2},
                                    base::Nanos(std::chrono::seconds(2)));
     EXPECT_FALSE(st.ok());
     s1.finalize();
@@ -296,14 +296,15 @@ void run_lossy_full_mpi(std::optional<fabric::CcConfig> cc) {
 }
 
 TEST(Integration, LossyLinksSurviveFullMpiRun) {
-  run_lossy_full_mpi(std::nullopt);  // fixed engine: PR 2's exact behavior
+  run_lossy_full_mpi(std::nullopt);  // window and rails from the cvars
 }
 
 TEST(Integration, LossyLinksSurviveFullMpiRunUnderAimd) {
-  // Same scenario with the congestion window engaged: windowing must never
-  // change MPI-visible semantics, only pacing.
+  // Same scenario with a congestion window small enough that senders stall
+  // on it: windowing must never change MPI-visible semantics, only pacing.
   fabric::CcConfig cc;
-  cc.engine = fabric::CcEngine::aimd;
+  cc.initial_window = 2;
+  cc.max_cwnd = 4;
   run_lossy_full_mpi(cc);
 }
 

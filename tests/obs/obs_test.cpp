@@ -429,7 +429,7 @@ TEST(ObsTvar, BuiltinCvarsControlTheTracer) {
 }
 
 TEST(ObsTvar, CongestionControlGaugesAndCountersAreWired) {
-  // The §17 pvars: fabric.cwnd (mean adaptive window) and
+  // The §17 pvars: fabric.cwnd (mean congestion window) and
   // fabric.rail_imbalance_pct (striped-byte spread) are registered gauges,
   // and the fabric.fast_retransmits counter mirrors the Fabric accessor.
   fabric::ReliabilityConfig rel;
@@ -438,7 +438,6 @@ TEST(ObsTvar, CongestionControlGaugesAndCountersAreWired) {
   rel.rto_cap_ns = 2'000'000;
   rel.max_retries = 100;
   fabric::CcConfig cc;
-  cc.engine = fabric::CcEngine::aimd;
   cc.rails = 4;
   cc.stripe_threshold = 2048;
   rel.cc = cc;

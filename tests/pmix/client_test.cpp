@@ -68,8 +68,11 @@ TEST(PmixClient, FenceOverAllProcsCompletes) {
 TEST(PmixClient, FenceWithCollectDataPublishesModex) {
   ClientHarness h{{2, 2}};
   h.run_all([&](PmixClient& c) {
+    // PMIx_Put + PMIx_Commit, then a plain fence: once it completes every
+    // peer's committed blob is visible to every participant.
     c.put("ep", std::uint64_t(1000 + c.self()));
-    ASSERT_TRUE(c.fence({0, 1, 2, 3}, /*collect_data=*/true).ok());
+    c.commit();
+    ASSERT_TRUE(c.fence({0, 1, 2, 3}).ok());
     for (ProcId p = 0; p < 4; ++p) {
       auto v = c.get(p, "ep", 2s);
       ASSERT_TRUE(v.ok());
