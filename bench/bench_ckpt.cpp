@@ -1,13 +1,14 @@
 // Checkpoint/restart cost benchmark (src/ckpt): coordinated save and
 // restore time vs dataset size, with the redundancy levels broken out —
-// local snapshot only, + partner copy (SCR PARTNER), + filesystem spill.
-// Also times a full failure-recovery cycle (kill a rank, shrink, restore
-// with partner rebuild), compares the redundancy bytes of the erasure
-// schemes against the full partner copy, and measures how much of the
-// async drain the rank thread actually overlaps with compute.
+// local snapshot only (set shape (1, 0)), + the default (1, 1) partner
+// copy (SCR PARTNER), + filesystem spill. Also times a full
+// failure-recovery cycle (kill a rank, shrink, restore from the copy),
+// compares the redundancy bytes of wider set shapes against the (1, 1)
+// copy, and measures how much of the async drain the rank thread actually
+// overlaps with compute.
 //
 // `--smoke` turns the last two into CI gates: RS(8,2) must spend at most
-// 0.5x the partner copy's redundancy bytes (the whole point of erasure
+// 0.5x the (1, 1) copy's redundancy bytes (the whole point of erasure
 // sets — the true ratio is m/k = 0.25), and the drain overlap must stay
 // >= 50% when compute outlasts the modeled filesystem write.
 //
@@ -35,7 +36,7 @@ constexpr int kIters = 4;
 
 struct CkptTimes {
   double save_local_us = 0;
-  double save_partner_us = 0;
+  double save_copy_us = 0;
   double save_spill_us = 0;
   double restore_us = 0;
 };
@@ -50,7 +51,7 @@ double time_saves(ckpt::Checkpointer& ck, const Communicator& comm) {
 
 CkptTimes measure(std::size_t bytes) {
   CkptTimes r;
-  const auto one_config = [&](bool partner, bool spill) {
+  const auto one_config = [&](bool copy, bool spill) {
     RankSamples save_t;
     RankSamples restore_t;
     run_cluster(kNodes, kPpn, [&](sim::Process& p) {
@@ -61,8 +62,7 @@ CkptTimes measure(std::size_t bytes) {
       std::vector<std::uint8_t> data(
           bytes, static_cast<std::uint8_t>(p.rank()));
       ckpt::Config cfg;
-      cfg.partner_copy = partner;
-      cfg.partner_offset = kPpn;  // cross-node partner
+      cfg.set_parity = copy ? 1 : 0;  // (1, 1): a copy on the other node
       cfg.spill_to_fs = spill;
       ckpt::Checkpointer ck("bench", cfg);
       ck.register_dataset("data", data.data(), data.size());
@@ -77,10 +77,10 @@ CkptTimes measure(std::size_t bytes) {
       comm.free();
       s.finalize();
     });
-    if (!partner && !spill) {
+    if (!copy && !spill) {
       r.save_local_us = save_t.mean();
-    } else if (partner && !spill) {
-      r.save_partner_us = save_t.mean();
+    } else if (copy && !spill) {
+      r.save_copy_us = save_t.mean();
       r.restore_us = restore_t.mean();
     } else {
       r.save_spill_us = save_t.mean();
@@ -94,7 +94,8 @@ CkptTimes measure(std::size_t bytes) {
 
 double measure_recovery_cycle(std::size_t bytes) {
   // One full cycle: rank kPpn dies after epoch 1; survivors shrink,
-  // restore (partner rebuild included), and keep going.
+  // restore (rebuild from its (1, 1) partner on the other node included),
+  // and keep going.
   RankSamples cycle_t;
   std::atomic<int> saved{0};
   run_cluster(kNodes, kPpn, [&](sim::Process& p) {
@@ -103,9 +104,7 @@ double measure_recovery_cycle(std::size_t bytes) {
         s.group_from_pset("mpi://world"), "ckptrec", Info::null(),
         Errhandler::errors_return());
     std::vector<std::uint8_t> data(bytes, static_cast<std::uint8_t>(p.rank()));
-    ckpt::Config cfg;
-    cfg.partner_offset = 1;  // partner survives: rebuild path, not spill
-    ckpt::Checkpointer ck("benchrec", cfg);
+    ckpt::Checkpointer ck("benchrec");
     ck.register_dataset("data", data.data(), data.size());
     ck.save(comm);
     saved.fetch_add(1);
@@ -131,17 +130,16 @@ double measure_recovery_cycle(std::size_t bytes) {
   return cycle_t.mean();
 }
 
-/// Redundancy bytes + save time of one scheme over 10 ranks (one full
+/// Redundancy bytes + save time of one set shape over 10 ranks (one full
 /// RS(8,2) set when k + m == 10). Redundancy comes from the counter the
 /// save path maintains, normalized to one save across all ranks.
-struct SchemeRow {
+struct ShapeRow {
   double save_us = 0;
   std::uint64_t redundancy = 0;  ///< bytes per save, summed over ranks
 };
 
-SchemeRow measure_scheme(ckpt::Scheme scheme, int k, int m,
-                         std::size_t bytes) {
-  SchemeRow row;
+ShapeRow measure_shape(int k, int m, std::size_t bytes) {
+  ShapeRow row;
   const std::uint64_t red_before =
       base::counters().value("ckpt.redundancy_bytes");
   RankSamples save_t;
@@ -152,8 +150,6 @@ SchemeRow measure_scheme(ckpt::Scheme scheme, int k, int m,
         Errhandler::errors_return());
     std::vector<std::uint8_t> data(bytes, static_cast<std::uint8_t>(p.rank()));
     ckpt::Config cfg;
-    cfg.scheme = scheme;
-    cfg.partner_offset = 5;  // cross-node partner (partner scheme only)
     cfg.set_data = k;
     cfg.set_parity = m;
     ckpt::Checkpointer ck("benchred", cfg);
@@ -226,34 +222,31 @@ int main(int argc, char** argv) {
   std::cout << "bench_ckpt: coordinated checkpoint/restart cost "
                "(SCR-style levels over the ULFM layer)\n";
 
-  // Redundancy-scheme comparison: 10 ranks, one save, bytes of redundant
-  // state created per save across the allocation. Partner stores a full
+  // Set-shape comparison: 10 ranks, one save, bytes of redundant state
+  // created per save across the allocation. The (1, 1) copy stores a full
   // copy (1.0x payload per rank); RS(k, m) stores m/k of it.
   constexpr std::size_t kRedBytes = std::size_t{1} << 16;
-  const auto partner_row =
-      measure_scheme(ckpt::Scheme::partner, 0, 0, kRedBytes);
-  const auto xor_row =
-      measure_scheme(ckpt::Scheme::xor_parity, 7, 1, kRedBytes);
-  const auto rs_row =
-      measure_scheme(ckpt::Scheme::reed_solomon, 8, 2, kRedBytes);
+  const auto copy_row = measure_shape(1, 1, kRedBytes);
+  const auto xor_row = measure_shape(7, 1, kRedBytes);
+  const auto rs_row = measure_shape(8, 2, kRedBytes);
   print_header(
-      "Redundancy bytes per save vs scheme (10 ranks, 64 KiB/rank)",
-      "'redundancy' counts bytes of partner copies / parity chunks created "
-      "per coordinated save, summed over ranks (counter "
-      "ckpt.redundancy_bytes). XOR(7,1) and RS(8,2) trade a bounded "
-      "failure budget per redundancy set for an m/k-sized footprint; the "
-      "2-rank tail set of XOR(7,1) degrades to duplication.");
+      "Redundancy bytes per save vs set shape (10 ranks, 64 KiB/rank)",
+      "'redundancy' counts bytes of parity chunks created per coordinated "
+      "save, summed over ranks (counter ckpt.redundancy_bytes). (1,1) is "
+      "the default partner copy; RS(7,1) (parity = XOR) and RS(8,2) trade "
+      "a bounded failure budget per redundancy set for an m/k-sized "
+      "footprint; the 2-rank tail set of RS(7,1) is a (1,1) copy.");
   {
-    Table rt({"scheme", "redundancy (B/save)", "vs partner", "save (us)"});
-    const auto ratio = [&](const SchemeRow& r) {
-      return partner_row.redundancy == 0
+    Table rt({"shape", "redundancy (B/save)", "vs copy", "save (us)"});
+    const auto ratio = [&](const ShapeRow& r) {
+      return copy_row.redundancy == 0
                  ? 0.0
                  : static_cast<double>(r.redundancy) /
-                       static_cast<double>(partner_row.redundancy);
+                       static_cast<double>(copy_row.redundancy);
     };
-    rt.add_row({"partner", std::to_string(partner_row.redundancy),
-                Table::fmt(1.0, 2), Table::fmt(partner_row.save_us, 1)});
-    rt.add_row({"xor(7,1)", std::to_string(xor_row.redundancy),
+    rt.add_row({"copy(1,1)", std::to_string(copy_row.redundancy),
+                Table::fmt(1.0, 2), Table::fmt(copy_row.save_us, 1)});
+    rt.add_row({"rs(7,1)=xor", std::to_string(xor_row.redundancy),
                 Table::fmt(ratio(xor_row), 2), Table::fmt(xor_row.save_us, 1)});
     rt.add_row({"rs(8,2)", std::to_string(rs_row.redundancy),
                 Table::fmt(ratio(rs_row), 2), Table::fmt(rs_row.save_us, 1)});
@@ -270,23 +263,17 @@ int main(int argc, char** argv) {
             << "pre-vote fence)\n";
 
   if (smoke) {
-    const bool red_pass = rs_row.redundancy * 2 <= partner_row.redundancy;
+    const bool red_pass = rs_row.redundancy * 2 <= copy_row.redundancy;
     const bool ov_pass = ov.overlap >= 0.5;
     const double red_ratio =
-        partner_row.redundancy == 0
+        copy_row.redundancy == 0
             ? 1.0
             : static_cast<double>(rs_row.redundancy) /
-                  static_cast<double>(partner_row.redundancy);
+                  static_cast<double>(copy_row.redundancy);
     record_metric("rs_redundancy_ratio", red_ratio, "lower");
     record_metric("drain_overlap_pct", ov.overlap * 100.0, "higher");
     std::cout << "CKPT_SMOKE " << (red_pass && ov_pass ? "PASS" : "FAIL")
-              << " (rs(8,2)/partner redundancy = "
-              << Table::fmt(partner_row.redundancy == 0
-                                ? 1.0
-                                : static_cast<double>(rs_row.redundancy) /
-                                      static_cast<double>(
-                                          partner_row.redundancy),
-                            2)
+              << " (rs(8,2)/copy(1,1) redundancy = " << Table::fmt(red_ratio, 2)
               << ", budget 0.50; drain overlap = "
               << Table::fmt(ov.overlap * 100, 1) << "%, floor 50%)\n";
     print_counters_json("bench_ckpt");
@@ -299,24 +286,25 @@ int main(int argc, char** argv) {
   print_header(
       "Checkpoint save/restore time vs dataset size (8 ranks, 2 nodes)",
       "us per operation, calibrated cost model. 'local' = snapshot + "
-      "agree-commit only; '+partner' adds the cross-node partner copy; "
-      "'+spill' adds the shared-filesystem level. 'restore' reloads the "
-      "last epoch on the intact communicator. 'recovery' is a full "
-      "kill-shrink-restore cycle with one partner rebuild.");
-  Table t({"bytes/rank", "save local (us)", "save +partner (us)",
+      "agree-commit only (shape (1,0)); '+copy' adds the default (1,1) "
+      "cross-node partner copy; '+spill' adds the shared-filesystem level. "
+      "'restore' reloads the last epoch on the intact communicator. "
+      "'recovery' is a full kill-shrink-restore cycle with one rebuild "
+      "from the copy.");
+  Table t({"bytes/rank", "save local (us)", "save +copy (us)",
            "save +spill (us)", "restore (us)", "recovery (us)"});
   for (const std::size_t bytes : {std::size_t{1} << 10, std::size_t{1} << 14,
                                   std::size_t{1} << 18, std::size_t{1} << 20}) {
     const auto r = measure(bytes);
     const double rec = measure_recovery_cycle(bytes);
     t.add_row({std::to_string(bytes), Table::fmt(r.save_local_us, 1),
-               Table::fmt(r.save_partner_us, 1),
+               Table::fmt(r.save_copy_us, 1),
                Table::fmt(r.save_spill_us, 1), Table::fmt(r.restore_us, 1),
                Table::fmt(rec, 1)});
   }
   t.print(std::cout);
   std::cout << "\nShape check: save cost is flat in dataset size until the "
-               "partner copy dominates (wire transfer scales with bytes); "
+               "(1,1) copy dominates (wire transfer scales with bytes); "
                "the spill adds a near-constant SimFs write on top. Recovery "
                "is bounded by shrink (agreement + CID construction), not by "
                "the rebuild copy.\n";

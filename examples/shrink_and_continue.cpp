@@ -5,7 +5,8 @@
 // communicator, shrink it, and *restore the last coordinated checkpoint*
 // (src/ckpt) instead of recomputing — the restored epoch tells every
 // survivor the common resume step, and the dead ranks' shards come back via
-// the partner copies.
+// the partner copies (the default (1, 1) redundancy sets, which the node map
+// places on the other node — no option to re-aim after a shrink).
 
 #include <cstdio>
 #include <cstring>
@@ -56,9 +57,7 @@ int main() {
     std::vector<double> cells(kCells, 1.0 + proc.rank());
     std::uint64_t step = 1;
 
-    ckpt::Config cfg;
-    cfg.partner_offset = 4;  // partner on the other node
-    ckpt::Checkpointer ck("stencil", cfg);
+    ckpt::Checkpointer ck("stencil");
     ck.register_dataset("cells", cells.data(),
                         cells.size() * sizeof(double));
     ck.register_dataset("step", &step, sizeof(step));

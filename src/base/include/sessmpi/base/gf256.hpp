@@ -1,7 +1,7 @@
 #pragma once
 
 // GF(2^8) arithmetic for the checkpoint layer's Reed-Solomon codec
-// (src/ckpt/codec_rs.cpp). The field is GF(2)[x]/(x^8+x^4+x^3+x^2+1)
+// (src/ckpt/codec.cpp). The field is GF(2)[x]/(x^8+x^4+x^3+x^2+1)
 // (polynomial 0x11d, the AES-unrelated "Rijndael's cousin" every RAID-6
 // implementation uses), represented as log/antilog tables over the
 // generator 0x02. Header-only and constexpr-built: the tables are
@@ -81,8 +81,19 @@ inline constexpr Tables kTables = build_tables();
   return inv(static_cast<std::uint8_t>((k + i) ^ j));
 }
 
+/// The codec's parity matrix: the Cauchy matrix with every column divided
+/// by its row-0 element, C'[i][j] = C[i][j] / C[0][j] = (x_0 ^ y_j) /
+/// (x_i ^ y_j). Scaling a column by a nonzero constant keeps every square
+/// submatrix nonsingular, so the code stays MDS; row 0 becomes all ones,
+/// which makes parity 0 the plain XOR of the data (mul_add's fast path).
+[[nodiscard]] constexpr std::uint8_t parity_coef(int k, int i,
+                                                 int j) noexcept {
+  return div(static_cast<std::uint8_t>(k ^ j),
+             static_cast<std::uint8_t>((k + i) ^ j));
+}
+
 /// dst[0..len) ^= coef * src[0..len) — the inner loop of both encode and
-/// decode. coef == 1 degenerates to pure XOR (the RAID-5 case).
+/// decode. coef == 1 degenerates to pure XOR (every parity-0 term).
 inline void mul_add(std::byte* dst, const std::byte* src, std::size_t len,
                     std::uint8_t coef) noexcept {
   if (coef == 0) {

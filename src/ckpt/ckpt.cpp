@@ -132,15 +132,10 @@ Checkpointer::Checkpointer(std::string name, Config cfg)
   if (cfg_.keep_epochs == 0) {
     cfg_.keep_epochs = 1;
   }
-  if (cfg_.scheme != Scheme::partner) {
-    if (cfg_.set_data < 1 || cfg_.set_parity < 0 ||
-        cfg_.set_data + cfg_.set_parity > 31) {
-      throw Error(ErrClass::arg,
-                  "ckpt: erasure set needs 1 <= k, 0 <= m, k + m <= 31");
-    }
-    if (cfg_.scheme == Scheme::xor_parity && cfg_.set_parity != 1) {
-      throw Error(ErrClass::arg, "ckpt: xor_parity requires set_parity == 1");
-    }
+  if (cfg_.set_data < 1 || cfg_.set_parity < 0 ||
+      cfg_.set_data + cfg_.set_parity > 30) {
+    throw Error(ErrClass::arg,
+                "ckpt: redundancy set needs 1 <= k, 0 <= m, k + m <= 30");
   }
   if (cfg_.spill_chunk_bytes == 0) {
     cfg_.spill_chunk_bytes = 1;
@@ -190,14 +185,13 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
     throw Error(ErrClass::comm, "null or freed communicator");
   }
   detail::ProcState& ps = *s->ps;
-  const int n = s->size();
   const int me = s->myrank;
   const base::Rank my_global = s->global_of(me);
   const std::int64_t t0 = mono_ns();
   OBS_SPAN("ckpt.save", "ckpt");
-  // One distributed trace per save: partner exchange, redundancy-set and
-  // commit-vote messages all inherit this id (agree() nests its own scope
-  // for the vote itself, which composes — see ScopedFlowContext).
+  // One distributed trace per save: redundancy-set and commit-vote
+  // messages all inherit this id (agree() nests its own scope for the vote
+  // itself, which composes — see ScopedFlowContext).
   std::uint64_t save_flow = 0;
   if (obs::Tracer::instance().enabled()) {
     save_flow = obs::Tracer::next_span_id();
@@ -205,23 +199,11 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
   }
   obs::ScopedFlowContext save_flow_scope(save_flow);
 
-  // A partner offset that is 0 mod n would self-partner — the "copy" lands
-  // on the owner and dies with it. Refuse instead of silently saving with
-  // no redundancy (a shrink can turn a good offset into a multiple of n).
-  if (cfg_.scheme == Scheme::partner && cfg_.partner_copy && n > 1 &&
-      ((cfg_.partner_offset % n) + n) % n == 0) {
-    throw Error(ErrClass::arg,
-                "ckpt: partner_offset " + std::to_string(cfg_.partner_offset) +
-                    " self-partners on " + std::to_string(n) +
-                    " ranks; call set_partner_offset() after a shrink");
-  }
-
   // Stage 1: local snapshot. Nothing commits until the vote.
   Epoch staging;
   staging.members = comm.group().members();
-  staging.scheme = cfg_.scheme;
-  staging.set_k = cfg_.set_data;
-  staging.set_m = cfg_.set_parity;
+  staging.sets = set_layouts(staging.members, ps.proc.cluster().topology(),
+                             cfg_.set_data, cfg_.set_parity);
   std::size_t own_bytes = 0;
   for (const auto& [dsname, ds] : datasets_) {
     const auto* p = static_cast<const std::byte*>(ds.data);
@@ -253,185 +235,142 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
     seq = s->ckpt_seq++;
   }
 
-  // Stage 2: redundancy. Either the partner exchange (full copy `offset`
-  // ranks away) or the erasure-set chunk exchange + parity encode.
+  // Stage 2: redundancy — the erasure-set chunk exchange + parity encode.
   const std::int64_t enc0 = mono_ns();
   ::sessmpi::obs::Tracer::instance().begin("ckpt.encode", "ckpt");
-  std::vector<std::byte> partner_blob;
-  base::Rank partner_owner = -1;
   std::size_t redundancy_bytes = 0;
-  const int off = n > 0 ? ((cfg_.partner_offset % n) + n) % n : 0;
-  staging.partner_off = off;
-  if (cfg_.scheme == Scheme::partner && ok && cfg_.partner_copy && off != 0) {
-    ::sessmpi::obs::Tracer::instance().begin("ckpt.partner_exchange", "ckpt");
-    const int to = (me + off) % n;
-    const int from = (me - off + n) % n;
-    const std::vector<std::byte> mine = encode_snapshot(staging.own);
+  for (std::size_t si = 0; si < staging.sets.size(); ++si) {
+    const int idx = staging.sets[si].member_of(me);
+    if (idx >= 0) {
+      staging.my_set = static_cast<int>(si);
+      staging.my_idx = idx;
+    }
+  }
+  const SetLayout& lay =
+      staging.sets[static_cast<std::size_t>(staging.my_set)];
+  const int g = lay.size();
+  const int kk = lay.data;
+  const int mm = lay.parity;
+  const int idx = staging.my_idx;
+  if (ok && mm > 0) {
+    std::vector<std::byte> mine = encode_snapshot(staging.own);
+    staging.blob_sizes.assign(static_cast<std::size_t>(g), 0);
+    staging.blob_sizes[static_cast<std::size_t>(idx)] = mine.size();
     const std::uint64_t my_size = mine.size();
-    std::uint64_t their_size = 0;
-
     std::vector<detail::RequestPtr> cleanup;
     try {
-      detail::RequestPtr size_recv =
-          ps.irecv_impl(s, &their_size, 1, datatype_of<std::uint64_t>(), from,
-                        detail::ckpt_tag(seq, 0));
-      cleanup.push_back(size_recv);
-      ps.isend_impl(s, &my_size, 1, datatype_of<std::uint64_t>(), to,
-                    detail::ckpt_tag(seq, 0), /*sync=*/false);
-      ps.progress_until([&] { return size_recv->done(); });
-      if (size_recv->status.error != ErrClass::success) {
-        ok = false;
-      } else {
-        partner_blob.resize(their_size);
-        detail::RequestPtr blob_recv = ps.irecv_impl(
-            s, partner_blob.data(), static_cast<int>(their_size),
-            datatype_of<std::byte>(), from, detail::ckpt_tag(seq, 1));
-        cleanup.push_back(blob_recv);
-        ps.isend_impl(s, mine.data(), static_cast<int>(mine.size()),
-                      datatype_of<std::byte>(), to, detail::ckpt_tag(seq, 1),
-                      /*sync=*/false);
-        ps.progress_until([&] { return blob_recv->done(); });
-        if (blob_recv->status.error != ErrClass::success) {
-          ok = false;
-        } else {
-          partner_owner = staging.members[static_cast<std::size_t>(from)];
-          redundancy_bytes = partner_blob.size();
+      // Set-internal size allgather (sub-tag 0): every member learns
+      // every blob size, so all compute the same chunk length.
+      std::vector<detail::RequestPtr> size_recvs;
+      for (int x = 0; x < g; ++x) {
+        if (x == idx) {
+          continue;
+        }
+        size_recvs.push_back(ps.irecv_impl(
+            s, &staging.blob_sizes[static_cast<std::size_t>(x)], 1,
+            datatype_of<std::uint64_t>(), lay.members[x],
+            detail::ckpt_tag(seq, 0)));
+        cleanup.push_back(size_recvs.back());
+      }
+      for (int x = 0; x < g; ++x) {
+        if (x != idx) {
+          ps.isend_impl(s, &my_size, 1, datatype_of<std::uint64_t>(),
+                        lay.members[x], detail::ckpt_tag(seq, 0),
+                        /*sync=*/false);
         }
       }
-    } catch (...) {
-      scrub_posted(ps, s, cleanup);
-      ::sessmpi::obs::Tracer::instance().end("ckpt.partner_exchange", "ckpt");
-      ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
-      throw;
-    }
-    scrub_posted(ps, s, cleanup);
-    ::sessmpi::obs::Tracer::instance().end("ckpt.partner_exchange", "ckpt");
-  } else if (cfg_.scheme != Scheme::partner && ok) {
-    const SetLayout lay = set_layout(n, me, cfg_.set_data, cfg_.set_parity);
-    staging.set.layout = lay;
-    const int g = lay.size;
-    const int kk = lay.data;
-    const int mm = lay.parity;
-    const int idx = lay.member_of(me);
-    std::vector<std::byte> mine = encode_snapshot(staging.own);
-    staging.set.blob_sizes.assign(static_cast<std::size_t>(g), 0);
-    staging.set.blob_sizes[static_cast<std::size_t>(idx)] = mine.size();
-    if (mm > 0) {
-      const std::uint64_t my_size = mine.size();
-      std::vector<detail::RequestPtr> cleanup;
-      try {
-        // Set-internal size allgather (sub-tag 0): every member learns
-        // every blob size, so all compute the same chunk length.
-        std::vector<detail::RequestPtr> size_recvs;
-        for (int x = 0; x < g; ++x) {
-          if (x == idx) {
+      ps.progress_until([&] {
+        return std::all_of(size_recvs.begin(), size_recvs.end(),
+                           [](const auto& r) { return r->done(); });
+      });
+      for (const auto& r : size_recvs) {
+        if (r->status.error != ErrClass::success) {
+          ok = false;
+        }
+      }
+      if (ok) {
+        const std::uint64_t lmax =
+            *std::max_element(staging.blob_sizes.begin(),
+                              staging.blob_sizes.end());
+        const std::uint64_t clen =
+            (lmax + static_cast<std::uint64_t>(kk) - 1) /
+            static_cast<std::uint64_t>(kk);
+        staging.chunk_len = clen;
+        mine.resize(static_cast<std::size_t>(kk) * clen);  // zero-pad
+
+        // Receive the data chunks of every stripe I hold parity for
+        // (sub-tag 2 + stripe*g + chunk), send my own chunks to their
+        // stripes' parity holders.
+        struct ChunkRecv {
+          int stripe = 0;
+          int j = 0;
+          std::vector<std::byte> buf;
+          detail::RequestPtr req;
+        };
+        std::vector<std::unique_ptr<ChunkRecv>> incoming;
+        for (int st = 0; st < g; ++st) {
+          if (lay.parity_index(st, idx) < 0) {
             continue;
           }
-          size_recvs.push_back(ps.irecv_impl(
-              s, &staging.set.blob_sizes[static_cast<std::size_t>(x)], 1,
-              datatype_of<std::uint64_t>(), lay.first + x,
-              detail::ckpt_tag(seq, 0)));
-          cleanup.push_back(size_recvs.back());
+          for (int j = 0; j < kk; ++j) {
+            auto cr = std::make_unique<ChunkRecv>();
+            cr->stripe = st;
+            cr->j = j;
+            cr->buf.resize(clen);
+            cr->req = ps.irecv_impl(
+                s, cr->buf.data(), static_cast<int>(clen),
+                datatype_of<std::byte>(),
+                lay.members[lay.data_member(st, j)],
+                detail::ckpt_tag(seq, 2 + st * g + j));
+            cleanup.push_back(cr->req);
+            incoming.push_back(std::move(cr));
+          }
         }
-        for (int x = 0; x < g; ++x) {
-          if (x != idx) {
-            ps.isend_impl(s, &my_size, 1, datatype_of<std::uint64_t>(),
-                          lay.first + x, detail::ckpt_tag(seq, 0),
-                          /*sync=*/false);
+        for (int j = 0; j < kk; ++j) {
+          const int st = lay.stripe_of_chunk(idx, j);
+          for (int i = 0; i < mm; ++i) {
+            ps.isend_impl(
+                s, mine.data() + static_cast<std::size_t>(j) * clen,
+                static_cast<int>(clen), datatype_of<std::byte>(),
+                lay.members[lay.parity_member(st, i)],
+                detail::ckpt_tag(seq, 2 + st * g + j), /*sync=*/false);
           }
         }
         ps.progress_until([&] {
-          return std::all_of(size_recvs.begin(), size_recvs.end(),
-                             [](const auto& r) { return r->done(); });
+          return std::all_of(incoming.begin(), incoming.end(),
+                             [](const auto& c) { return c->req->done(); });
         });
-        for (const auto& r : size_recvs) {
-          if (r->status.error != ErrClass::success) {
+        for (const auto& c : incoming) {
+          if (c->req->status.error != ErrClass::success) {
             ok = false;
           }
         }
         if (ok) {
-          const std::uint64_t lmax =
-              *std::max_element(staging.set.blob_sizes.begin(),
-                                staging.set.blob_sizes.end());
-          const std::uint64_t clen =
-              (lmax + static_cast<std::uint64_t>(kk) - 1) /
-              static_cast<std::uint64_t>(kk);
-          staging.set.chunk_len = clen;
-          mine.resize(static_cast<std::size_t>(kk) * clen);  // zero-pad
-
-          // Receive the data chunks of every stripe I hold parity for
-          // (sub-tag 2 + stripe*g + chunk), send my own chunks to their
-          // stripes' parity holders.
-          struct ChunkRecv {
-            int stripe = 0;
-            int j = 0;
-            std::vector<std::byte> buf;
-            detail::RequestPtr req;
-          };
-          std::vector<std::unique_ptr<ChunkRecv>> incoming;
+          const SetCodec codec(kk, mm);
+          std::vector<const std::byte*> ptrs(static_cast<std::size_t>(kk));
           for (int st = 0; st < g; ++st) {
-            if (lay.parity_index(st, idx) < 0) {
+            const int pi = lay.parity_index(st, idx);
+            if (pi < 0) {
               continue;
             }
-            for (int j = 0; j < kk; ++j) {
-              auto cr = std::make_unique<ChunkRecv>();
-              cr->stripe = st;
-              cr->j = j;
-              cr->buf.resize(clen);
-              cr->req = ps.irecv_impl(
-                  s, cr->buf.data(), static_cast<int>(clen),
-                  datatype_of<std::byte>(), lay.first + lay.data_member(st, j),
-                  detail::ckpt_tag(seq, 2 + st * g + j));
-              cleanup.push_back(cr->req);
-              incoming.push_back(std::move(cr));
-            }
-          }
-          for (int j = 0; j < kk; ++j) {
-            const int st = lay.stripe_of_chunk(idx, j);
-            for (int i = 0; i < mm; ++i) {
-              ps.isend_impl(
-                  s, mine.data() + static_cast<std::size_t>(j) * clen,
-                  static_cast<int>(clen), datatype_of<std::byte>(),
-                  lay.first + lay.parity_member(st, i),
-                  detail::ckpt_tag(seq, 2 + st * g + j), /*sync=*/false);
-            }
-          }
-          ps.progress_until([&] {
-            return std::all_of(incoming.begin(), incoming.end(),
-                               [](const auto& c) { return c->req->done(); });
-          });
-          for (const auto& c : incoming) {
-            if (c->req->status.error != ErrClass::success) {
-              ok = false;
-            }
-          }
-          if (ok) {
-            const auto codec = make_codec(cfg_.scheme, kk, mm);
-            std::vector<const std::byte*> ptrs(static_cast<std::size_t>(kk));
-            for (int st = 0; st < g; ++st) {
-              const int pi = lay.parity_index(st, idx);
-              if (pi < 0) {
-                continue;
+            for (const auto& c : incoming) {
+              if (c->stripe == st) {
+                ptrs[static_cast<std::size_t>(c->j)] = c->buf.data();
               }
-              for (const auto& c : incoming) {
-                if (c->stripe == st) {
-                  ptrs[static_cast<std::size_t>(c->j)] = c->buf.data();
-                }
-              }
-              std::vector<std::byte> out(clen);
-              codec->encode(pi, ptrs.data(), clen, out.data());
-              staging.set.parity.emplace(st, std::move(out));
-              redundancy_bytes += clen;
             }
+            std::vector<std::byte> out(clen);
+            codec.encode(pi, ptrs.data(), clen, out.data());
+            staging.parity.emplace(st, std::move(out));
+            redundancy_bytes += clen;
           }
         }
-      } catch (...) {
-        scrub_posted(ps, s, cleanup);
-        ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
-        throw;
       }
+    } catch (...) {
       scrub_posted(ps, s, cleanup);
+      ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
+      throw;
     }
+    scrub_posted(ps, s, cleanup);
   }
   ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
   obs::histogram("ckpt.encode_ns")
@@ -468,9 +407,6 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
   const std::uint64_t epoch = last_committed_ + 1;
   Epoch& committed = epochs_[epoch];
   committed = std::move(staging);
-  if (partner_owner != -1) {
-    committed.partner.emplace(partner_owner, std::move(partner_blob));
-  }
   last_committed_ = epoch;
   while (epochs_.size() > cfg_.keep_epochs) {
     if (cfg_.spill_to_fs) {
@@ -484,13 +420,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
 
   if (cfg_.spill_to_fs) {
     std::vector<std::byte> blob = encode_snapshot(committed.own);
-    prte::SimFs& fs = ps.proc.cluster().fs();
-    if (cfg_.async_spill) {
-      spill_async(fs, epoch, std::move(blob), my_global);
-    } else {
-      OBS_SPAN("ckpt.spill", "ckpt");
-      spill_sync(fs, epoch, blob, my_global);
-    }
+    spill_async(ps.proc.cluster().fs(), epoch, std::move(blob), my_global);
     base::counters().add("ckpt.spills");
   }
 
@@ -501,19 +431,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
   return epoch;
 }
 
-// --- filesystem spill: sync fallback + async drain pipeline ---------------
-
-void Checkpointer::spill_sync(prte::SimFs& fs, std::uint64_t epoch,
-                              const std::vector<std::byte>& blob,
-                              base::Rank my_global) {
-  const std::string path = fs_path(epoch, my_global);
-  fs.set_size(path, 0);
-  fs.write(path, 0, blob.data(), blob.size());
-  // Durability marker last, so readers never see a marked partial file.
-  const char okb = 1;
-  fs.set_size(path + ".ok", 0);
-  fs.write(path + ".ok", 0, &okb, 1);
-}
+// --- filesystem spill: async drain pipeline -------------------------------
 
 void Checkpointer::spill_async(prte::SimFs& fs, std::uint64_t epoch,
                                std::vector<std::byte> blob,
@@ -705,14 +623,13 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
   }
 
   const Group now = comm.group();
-  const base::Rank my_global = s->global_of(s->myrank);
   prte::SimFs& fs = ps.proc.cluster().fs();
 
   // Local recoverability of one candidate epoch. Deterministic across
-  // ranks except for per-rank holdings (pruned epoch, missing partner
-  // blob), which the allreduce verdict makes uniform. An async spill only
-  // counts once its ".ok" durability marker exists — a rank that died
-  // mid-drain left a partial file without one.
+  // ranks except for per-rank holdings (pruned epoch), which the allreduce
+  // verdict makes uniform. An async spill only counts once its ".ok"
+  // durability marker exists — a rank that died mid-drain left a partial
+  // file without one.
   const auto candidate_bad = [&](std::uint64_t ep) -> bool {
     const auto it = epochs_.find(ep);
     if (it == epochs_.end()) {
@@ -725,54 +642,20 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
         return true;
       }
     }
-    const int n_saved = static_cast<int>(ed.members.size());
-    const auto durable = [&](base::Rank owner) {
-      return cfg_.spill_to_fs && fs.exists(fs_path(ep, owner) + ".ok");
-    };
-    if (ed.scheme == Scheme::partner) {
-      const int poff =
-          n_saved > 0 ? ((ed.partner_off % n_saved) + n_saved) % n_saved : 0;
-      for (int r = 0; r < n_saved; ++r) {
-        const base::Rank owner = ed.members[static_cast<std::size_t>(r)];
-        if (now.contains(owner)) {
-          continue;
-        }
-        bool covered = false;
-        if (poff != 0) {
-          const base::Rank holder =
-              ed.members[static_cast<std::size_t>((r + poff) % n_saved)];
-          if (now.contains(holder)) {
-            if (holder == my_global && !ed.partner.contains(owner)) {
-              return true;  // I am the holder but lost the blob
-            }
-            covered = true;
-          }
-        }
-        if (!covered && !durable(owner)) {
-          return true;
+    for (const SetLayout& lay : ed.sets) {
+      std::vector<base::Rank> dead;
+      for (const int r : lay.members) {
+        if (!now.contains(ed.members[static_cast<std::size_t>(r)])) {
+          dead.push_back(ed.members[static_cast<std::size_t>(r)]);
         }
       }
-    } else {
-      for (int first = 0; first < n_saved;) {
-        const SetLayout lay = set_layout(n_saved, first, ed.set_k, ed.set_m);
-        int dead = 0;
-        for (int x = 0; x < lay.size; ++x) {
-          if (!now.contains(ed.members[static_cast<std::size_t>(first + x)])) {
-            ++dead;
-          }
-        }
-        if (dead > lay.parity) {
-          // Beyond the set's tolerance: every dead member needs a durable
-          // filesystem copy.
-          for (int x = 0; x < lay.size; ++x) {
-            const base::Rank owner =
-                ed.members[static_cast<std::size_t>(first + x)];
-            if (!now.contains(owner) && !durable(owner)) {
-              return true;
-            }
-          }
-        }
-        first += lay.size;
+      // Beyond the set's tolerance every dead member needs a durable
+      // filesystem copy.
+      if (static_cast<int>(dead.size()) > lay.parity &&
+          !std::all_of(dead.begin(), dead.end(), [&](base::Rank owner) {
+            return cfg_.spill_to_fs && fs.exists(fs_path(ep, owner) + ".ok");
+          })) {
+        return true;
       }
     }
     return false;
@@ -820,248 +703,194 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
   }
   base::counters().add("ckpt.restore_bytes", copied);
 
-  // Shards of members that did not make it into this communicator.
-  // Redundancy-level order: save-time partner / set parity first, then the
-  // durable filesystem spill for anything beyond the in-memory tolerance.
-  const int n_saved = static_cast<int>(ed.members.size());
+  // Shards of members that did not make it into this communicator: set
+  // parity first, then the durable filesystem spill for anything beyond
+  // the in-memory tolerance. Every rank walks every saved set (the orphan
+  // bookkeeping must be identical everywhere); the chunk transfers and
+  // decodes are set-internal, so only my own set involves me.
   std::vector<base::Rank> fs_orphans;
-
-  if (ed.scheme == Scheme::partner) {
-    const int poff =
-        n_saved > 0 ? ((ed.partner_off % n_saved) + n_saved) % n_saved : 0;
-    for (int r = 0; r < n_saved; ++r) {
-      const base::Rank owner = ed.members[static_cast<std::size_t>(r)];
-      if (now.contains(owner)) {
-        continue;
-      }
-      bool held_by_survivor = false;
-      if (poff != 0) {
-        const base::Rank holder =
-            ed.members[static_cast<std::size_t>((r + poff) % n_saved)];
-        if (now.contains(holder)) {
-          held_by_survivor = true;
-          if (holder == my_global) {
-            const auto pit = ed.partner.find(owner);
-            if (pit == ed.partner.end()) {
-              bad = 1;
-            } else {
-              for (auto& [dsname, bytes] : decode_snapshot(pit->second)) {
-                res.adopted.push_back(Shard{owner, dsname, std::move(bytes)});
-              }
-              base::counters().add("ckpt.partner_rebuilds");
-            }
-          }
+  for (std::size_t si = 0; si < ed.sets.size(); ++si) {
+    const SetLayout& lay = ed.sets[si];
+    const int g = lay.size();
+    const int kk = lay.data;
+    const int mm = lay.parity;
+    const auto owner_of = [&](int member_idx) {
+      return ed.members[static_cast<std::size_t>(
+          lay.members[static_cast<std::size_t>(member_idx)])];
+    };
+    std::vector<int> deadm;
+    std::vector<int> survm;
+    for (int x = 0; x < g; ++x) {
+      (now.contains(owner_of(x)) ? survm : deadm).push_back(x);
+    }
+    if (deadm.empty()) {
+      continue;
+    }
+    if (static_cast<int>(deadm.size()) > mm) {
+      if (!cfg_.spill_to_fs) {
+        bad = 1;  // deterministic: every rank reaches the same conclusion
+      } else {
+        for (int x : deadm) {
+          fs_orphans.push_back(owner_of(x));
         }
       }
-      if (!held_by_survivor) {
-        if (!cfg_.spill_to_fs) {
-          bad = 1;  // deterministic: every rank reaches the same conclusion
-        } else {
-          fs_orphans.push_back(owner);
-        }
+      continue;
+    }
+    if (static_cast<int>(si) != ed.my_set) {
+      continue;  // not my set — nothing further to do here
+    }
+    // Parity-recoverable set. Deterministic plan, computed identically
+    // on every rank: dead member d (in index order) is adopted by
+    // survivor survm[d mod |survm|]; the adopter reconstructs every
+    // stripe the dead member contributed a data chunk to, receiving the
+    // surviving chunk of each such stripe from every other survivor.
+    std::map<int, std::set<int>> stripes_of;  // adopter -> stripes
+    std::map<int, std::vector<int>> adoptees;  // adopter -> dead members
+    for (std::size_t d = 0; d < deadm.size(); ++d) {
+      const int a = survm[d % survm.size()];
+      adoptees[a].push_back(deadm[d]);
+      for (int j = 0; j < kk; ++j) {
+        stripes_of[a].insert(lay.stripe_of_chunk(deadm[d], j));
       }
     }
-  } else {
-    // Erasure sets. Every rank walks every saved set (the orphan
-    // bookkeeping must be identical everywhere); the chunk transfers and
-    // decodes are set-internal, so only my own set involves me.
-    const int my_saved_rank = [&] {
-      for (int r = 0; r < n_saved; ++r) {
-        if (ed.members[static_cast<std::size_t>(r)] == my_global) {
-          return r;
-        }
-      }
-      return -1;  // unreachable: the new comm is a subset of the saved one
-    }();
-    for (int first = 0; first < n_saved;) {
-      const SetLayout lay = set_layout(n_saved, first, ed.set_k, ed.set_m);
-      const int g = lay.size;
-      const int kk = lay.data;
-      const int mm = lay.parity;
-      std::vector<int> deadm;
-      std::vector<int> survm;
-      for (int x = 0; x < g; ++x) {
-        (now.contains(ed.members[static_cast<std::size_t>(first + x)])
-             ? survm
-             : deadm)
-            .push_back(x);
-      }
-      if (deadm.empty()) {
-        first += g;
-        continue;
-      }
-      if (static_cast<int>(deadm.size()) > mm) {
-        if (!cfg_.spill_to_fs) {
-          bad = 1;
-        } else {
-          for (int x : deadm) {
-            fs_orphans.push_back(ed.members[static_cast<std::size_t>(first + x)]);
-          }
-        }
-        first += g;
-        continue;
-      }
 
-      // Parity-recoverable set. Deterministic plan, computed identically
-      // on every rank: dead member d (in index order) is adopted by
-      // survivor survm[d mod |survm|]; the adopter reconstructs every
-      // stripe the dead member contributed a data chunk to, receiving the
-      // surviving chunk of each such stripe from every other survivor.
-      std::map<int, std::set<int>> stripes_of;  // adopter -> stripes
-      std::map<int, std::vector<int>> adoptees;  // adopter -> dead members
-      for (std::size_t d = 0; d < deadm.size(); ++d) {
-        const int a = survm[d % survm.size()];
-        adoptees[a].push_back(deadm[d]);
-        for (int j = 0; j < kk; ++j) {
-          stripes_of[a].insert(lay.stripe_of_chunk(deadm[d], j));
-        }
+    const int my_idx = ed.my_idx;
+    const std::uint64_t clen = ed.chunk_len;
+    std::vector<std::byte> myblob = encode_snapshot(ed.own);
+    myblob.resize(static_cast<std::size_t>(kk) * clen);  // save-time pad
+    // My chunk of stripe `st`: my own blob chunk when I am a data
+    // contributor there, else the parity chunk I computed at save.
+    const auto my_chunk_for = [&](int st) -> const std::byte* {
+      const int pos = (my_idx - st + g) % g;
+      if (pos < kk) {
+        return myblob.data() + static_cast<std::size_t>(pos) * clen;
       }
+      return ed.parity.at(st).data();
+    };
+    const auto new_rank_of = [&](int member_idx) {
+      return now.rank_of(owner_of(member_idx));
+    };
 
-      if (my_saved_rank < first || my_saved_rank >= first + g) {
-        first += g;
-        continue;  // not my set — nothing further to do here
-      }
-      const int my_idx = my_saved_rank - first;
-      const std::uint64_t clen = ed.set.chunk_len;
-      std::vector<std::byte> myblob = encode_snapshot(ed.own);
-      myblob.resize(static_cast<std::size_t>(kk) * clen);  // save-time pad
-      // My chunk of stripe `st`: my own blob chunk when I am a data
-      // contributor there, else the parity chunk I computed at save.
-      const auto my_chunk_for = [&](int st) -> const std::byte* {
-        const int pos = (my_idx - st + g) % g;
-        if (pos < kk) {
-          return myblob.data() + static_cast<std::size_t>(pos) * clen;
-        }
-        return ed.set.parity.at(st).data();
-      };
-      const auto new_rank_of = [&](int member_idx) {
-        return now.rank_of(
-            ed.members[static_cast<std::size_t>(first + member_idx)]);
-      };
-
-      struct XferRecv {
-        int stripe = 0;
-        int from_pos = 0;
-        std::vector<std::byte> buf;
-        detail::RequestPtr req;
-      };
-      std::vector<std::unique_ptr<XferRecv>> xin;
-      std::vector<detail::RequestPtr> cleanup;
-      try {
-        const auto sit = stripes_of.find(my_idx);
-        if (sit != stripes_of.end()) {
-          for (int st : sit->second) {
-            for (int x : survm) {
-              if (x == my_idx) {
-                continue;
-              }
-              auto xr = std::make_unique<XferRecv>();
-              xr->stripe = st;
-              xr->from_pos = (x - st + g) % g;
-              xr->buf.resize(clen);
-              xr->req = ps.irecv_impl(
-                  s, xr->buf.data(), static_cast<int>(clen),
-                  datatype_of<std::byte>(), new_rank_of(x),
-                  detail::ckpt_tag(rseq, 2 + st * g + xr->from_pos));
-              cleanup.push_back(xr->req);
-              xin.push_back(std::move(xr));
-            }
-          }
-        }
-        for (const auto& [a, stset] : stripes_of) {
-          if (a == my_idx) {
-            continue;
-          }
-          for (int st : stset) {
-            const int pos = (my_idx - st + g) % g;
-            ps.isend_impl(s, my_chunk_for(st), static_cast<int>(clen),
-                          datatype_of<std::byte>(), new_rank_of(a),
-                          detail::ckpt_tag(rseq, 2 + st * g + pos),
-                          /*sync=*/false);
-          }
-        }
-        ps.progress_until([&] {
-          return std::all_of(xin.begin(), xin.end(),
-                             [](const auto& c) { return c->req->done(); });
-        });
-        for (const auto& c : xin) {
-          if (c->req->status.error != ErrClass::success) {
-            bad = 1;
-          }
-        }
-      } catch (...) {
-        scrub_posted(ps, s, cleanup);
-        throw;
-      }
-      scrub_posted(ps, s, cleanup);
-
-      if (bad == 0 && stripes_of.contains(my_idx)) {
-        const auto codec = make_codec(ed.scheme, kk, mm);
-        // stripe -> its kk data chunks (reconstructed in place)
-        std::map<int, std::vector<std::vector<std::byte>>> stripe_data;
-        for (int st : stripes_of.at(my_idx)) {
-          std::vector<std::vector<std::byte>> data(
-              static_cast<std::size_t>(kk), std::vector<std::byte>(clen));
-          std::unique_ptr<bool[]> data_ok(new bool[static_cast<std::size_t>(kk)]);
-          std::fill(data_ok.get(), data_ok.get() + kk, false);
-          std::vector<const std::byte*> parity(static_cast<std::size_t>(mm),
-                                               nullptr);
-          const int mypos = (my_idx - st + g) % g;
-          if (mypos < kk) {
-            std::memcpy(data[static_cast<std::size_t>(mypos)].data(),
-                        myblob.data() + static_cast<std::size_t>(mypos) * clen,
-                        clen);
-            data_ok[mypos] = true;
-          } else {
-            parity[static_cast<std::size_t>(mypos - kk)] =
-                ed.set.parity.at(st).data();
-          }
-          for (const auto& xr : xin) {
-            if (xr->stripe != st) {
+    struct XferRecv {
+      int stripe = 0;
+      int from_pos = 0;
+      std::vector<std::byte> buf;
+      detail::RequestPtr req;
+    };
+    std::vector<std::unique_ptr<XferRecv>> xin;
+    std::vector<detail::RequestPtr> cleanup;
+    try {
+      const auto sit = stripes_of.find(my_idx);
+      if (sit != stripes_of.end()) {
+        for (int st : sit->second) {
+          for (int x : survm) {
+            if (x == my_idx) {
               continue;
             }
-            if (xr->from_pos < kk) {
-              std::memcpy(data[static_cast<std::size_t>(xr->from_pos)].data(),
-                          xr->buf.data(), clen);
-              data_ok[xr->from_pos] = true;
-            } else {
-              parity[static_cast<std::size_t>(xr->from_pos - kk)] =
-                  xr->buf.data();
-            }
-          }
-          std::vector<std::byte*> dptr(static_cast<std::size_t>(kk));
-          for (int j = 0; j < kk; ++j) {
-            dptr[static_cast<std::size_t>(j)] =
-                data[static_cast<std::size_t>(j)].data();
-          }
-          if (!codec->reconstruct(dptr.data(), data_ok.get(), parity.data(),
-                                  clen)) {
-            bad = 1;
-          }
-          stripe_data.emplace(st, std::move(data));
-        }
-        if (bad == 0) {
-          for (int dm : adoptees.at(my_idx)) {
-            std::vector<std::byte> blob(static_cast<std::size_t>(kk) * clen);
-            for (int j = 0; j < kk; ++j) {
-              const int st = lay.stripe_of_chunk(dm, j);
-              std::memcpy(blob.data() + static_cast<std::size_t>(j) * clen,
-                          stripe_data.at(st)[static_cast<std::size_t>(j)]
-                              .data(),
-                          clen);
-            }
-            blob.resize(ed.set.blob_sizes[static_cast<std::size_t>(dm)]);
-            const base::Rank owner =
-                ed.members[static_cast<std::size_t>(first + dm)];
-            for (auto& [dsname, bytes] : decode_snapshot(blob)) {
-              res.adopted.push_back(Shard{owner, dsname, std::move(bytes)});
-            }
-            res.from_parity += 1;
-            base::counters().add("ckpt.parity_rebuilds");
+            auto xr = std::make_unique<XferRecv>();
+            xr->stripe = st;
+            xr->from_pos = (x - st + g) % g;
+            xr->buf.resize(clen);
+            xr->req = ps.irecv_impl(
+                s, xr->buf.data(), static_cast<int>(clen),
+                datatype_of<std::byte>(), new_rank_of(x),
+                detail::ckpt_tag(rseq, 2 + st * g + xr->from_pos));
+            cleanup.push_back(xr->req);
+            xin.push_back(std::move(xr));
           }
         }
       }
-      first += g;
+      for (const auto& [a, stset] : stripes_of) {
+        if (a == my_idx) {
+          continue;
+        }
+        for (int st : stset) {
+          const int pos = (my_idx - st + g) % g;
+          ps.isend_impl(s, my_chunk_for(st), static_cast<int>(clen),
+                        datatype_of<std::byte>(), new_rank_of(a),
+                        detail::ckpt_tag(rseq, 2 + st * g + pos),
+                        /*sync=*/false);
+        }
+      }
+      ps.progress_until([&] {
+        return std::all_of(xin.begin(), xin.end(),
+                           [](const auto& c) { return c->req->done(); });
+      });
+      for (const auto& c : xin) {
+        if (c->req->status.error != ErrClass::success) {
+          bad = 1;
+        }
+      }
+    } catch (...) {
+      scrub_posted(ps, s, cleanup);
+      throw;
+    }
+    scrub_posted(ps, s, cleanup);
+
+    if (bad == 0 && stripes_of.contains(my_idx)) {
+      const SetCodec codec(kk, mm);
+      // stripe -> its kk data chunks (reconstructed in place)
+      std::map<int, std::vector<std::vector<std::byte>>> stripe_data;
+      for (int st : stripes_of.at(my_idx)) {
+        std::vector<std::vector<std::byte>> data(
+            static_cast<std::size_t>(kk), std::vector<std::byte>(clen));
+        std::unique_ptr<bool[]> data_ok(new bool[static_cast<std::size_t>(kk)]);
+        std::fill(data_ok.get(), data_ok.get() + kk, false);
+        std::vector<const std::byte*> parity(static_cast<std::size_t>(mm),
+                                             nullptr);
+        const int mypos = (my_idx - st + g) % g;
+        if (mypos < kk) {
+          std::memcpy(data[static_cast<std::size_t>(mypos)].data(),
+                      myblob.data() + static_cast<std::size_t>(mypos) * clen,
+                      clen);
+          data_ok[mypos] = true;
+        } else {
+          parity[static_cast<std::size_t>(mypos - kk)] =
+              ed.parity.at(st).data();
+        }
+        for (const auto& xr : xin) {
+          if (xr->stripe != st) {
+            continue;
+          }
+          if (xr->from_pos < kk) {
+            std::memcpy(data[static_cast<std::size_t>(xr->from_pos)].data(),
+                        xr->buf.data(), clen);
+            data_ok[xr->from_pos] = true;
+          } else {
+            parity[static_cast<std::size_t>(xr->from_pos - kk)] =
+                xr->buf.data();
+          }
+        }
+        std::vector<std::byte*> dptr(static_cast<std::size_t>(kk));
+        for (int j = 0; j < kk; ++j) {
+          dptr[static_cast<std::size_t>(j)] =
+              data[static_cast<std::size_t>(j)].data();
+        }
+        if (!codec.reconstruct(dptr.data(), data_ok.get(), parity.data(),
+                               clen)) {
+          bad = 1;
+        }
+        stripe_data.emplace(st, std::move(data));
+      }
+      if (bad == 0) {
+        for (int dm : adoptees.at(my_idx)) {
+          std::vector<std::byte> blob(static_cast<std::size_t>(kk) * clen);
+          for (int j = 0; j < kk; ++j) {
+            const int st = lay.stripe_of_chunk(dm, j);
+            std::memcpy(blob.data() + static_cast<std::size_t>(j) * clen,
+                        stripe_data.at(st)[static_cast<std::size_t>(j)]
+                            .data(),
+                        clen);
+          }
+          blob.resize(ed.blob_sizes[static_cast<std::size_t>(dm)]);
+          const base::Rank owner = owner_of(dm);
+          for (auto& [dsname, bytes] : decode_snapshot(blob)) {
+            res.adopted.push_back(Shard{owner, dsname, std::move(bytes)});
+          }
+          res.from_parity += 1;
+          base::counters().add("ckpt.parity_rebuilds");
+        }
+      }
     }
   }
 

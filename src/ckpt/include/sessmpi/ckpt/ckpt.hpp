@@ -7,16 +7,14 @@
 // `save(comm)` then takes a *coordinated* in-memory checkpoint:
 //
 //   1. snapshot every registered dataset into a staging epoch,
-//   2. add redundancy, per Config::scheme:
-//        partner       — exchange the serialized snapshot with a partner
-//                        rank: r sends to (r+offset) mod n and holds a
-//                        redundant copy for (r-offset) mod n (SCR PARTNER);
-//        xor_parity /  — SCR redundancy sets: ranks are grouped into sets
-//        reed_solomon    of (set_data + set_parity) members, each member's
-//                        blob is split into k chunks and the set computes
-//                        rotated parity stripes (codec.hpp), so any <= m
-//                        simultaneous deaths per set restore bitwise from
-//                        parity at m/k of partner-copy's redundancy bytes,
+//   2. add redundancy through SCR redundancy sets: the node map places
+//      the ranks into sets of (set_data + set_parity) members spread across
+//      nodes, each member's blob is split into k chunks and the set
+//      computes rotated parity stripes (codec.hpp), so any <= m
+//      simultaneous deaths per set restore bitwise from parity at m/k of a
+//      full copy's redundancy bytes. The default (1, 1) shape *is* a
+//      partner copy on another node (SCR PARTNER); (k, 1) is XOR (RAID-5);
+//      no option has to be re-aimed after a shrink,
 //   3. fence the *previous* epoch's async filesystem drain, then commit
 //      this epoch through an agree()-backed vote: each rank contributes ~0
 //      on success or ~1 on any local failure; bit 0 of the AND decides
@@ -24,9 +22,9 @@
 //      implies epoch N-1 is FS-durable (or known-failed) everywhere,
 //   4. publish the committed epoch through PMIx (`ckpt.<name>.epoch`) and
 //      (optionally) spill the snapshot to the shared SimFs — SCR's
-//      filesystem level, the copy of last resort. With async_spill the
-//      spill is *enqueued* on a background drainer that overlaps compute:
-//      chunked fault-injectable writes with exponential-backoff retries, a
+//      filesystem level, the copy of last resort. The spill is *enqueued*
+//      on a background drainer that overlaps compute: chunked
+//      fault-injectable writes with exponential-backoff retries, a
 //      trailing ".ok" durability marker written only after the final byte,
 //      and a sticky first-failure cause. A rank that dies mid-drain leaves
 //      no ".ok", so restore falls back to the previous durable epoch.
@@ -40,16 +38,15 @@
 // then walk candidates downward until one passes a uniform allreduce-max
 // recoverability vote. Survivors reload their own datasets bitwise and
 // *adopt* the shards of dead members — decoded from set parity when the
-// set lost <= m members (counter ckpt.parity_rebuilds), from the partner
-// copy under the partner scheme (ckpt.partner_rebuilds), else from a
-// durable (".ok"-marked) filesystem spill (ckpt.fs_rebuilds). A shard
-// with no surviving copy in any candidate epoch fails the restore
-// uniformly on every rank.
+// set lost <= m members (counter ckpt.parity_rebuilds; a (1, 1) copy
+// counts here too), else from a durable (".ok"-marked) filesystem spill
+// (ckpt.fs_rebuilds). A shard with no surviving copy in any candidate
+// epoch fails the restore uniformly on every rank.
 //
 // Counters (base::counters()): ckpt.saves, ckpt.aborted_saves,
 // ckpt.save_bytes, ckpt.redundancy_bytes, ckpt.restores,
-// ckpt.restore_bytes, ckpt.partner_rebuilds, ckpt.parity_rebuilds,
-// ckpt.fs_rebuilds, ckpt.spills, ckpt.spill_retries, ckpt.drain_failures.
+// ckpt.restore_bytes, ckpt.parity_rebuilds, ckpt.fs_rebuilds,
+// ckpt.spills, ckpt.spill_retries, ckpt.drain_failures.
 // Histograms (obs::histogram): ckpt.encode_ns, ckpt.drain_ns.
 
 #include <condition_variable>
@@ -74,31 +71,22 @@ class SimFs;
 namespace sessmpi::ckpt {
 
 struct Config {
-  /// Redundancy scheme for the in-memory level (codec.hpp). partner uses
-  /// partner_copy/partner_offset below; the erasure schemes use
-  /// set_data/set_parity.
-  Scheme scheme = Scheme::partner;
-  /// Keep a redundant copy of each rank's snapshot on a partner rank
-  /// (partner scheme only).
-  bool partner_copy = true;
-  /// Partner distance: rank r's copy lives on (r + partner_offset) mod n.
-  /// Use >= procs-per-node to survive whole-node failures. An offset that
-  /// is == 0 mod n would silently self-partner (no redundancy at all), so
-  /// save() rejects it with Error(arg); use set_partner_offset() after a
-  /// shrink changes n.
-  int partner_offset = 1;
-  /// Erasure-set shape: k data + m parity members per set. Any <= m
-  /// simultaneous failures within one set restore from parity. Constraint
-  /// beyond the codec's: k + m <= 31 (chunk-exchange tag budget).
-  int set_data = 4;
-  int set_parity = 2;
+  /// The only scheme; kept for the stack benchmark, which sets it. The
+  /// next change to the benchmark removes the field.
+  Scheme scheme = Scheme::reed_solomon;
+  /// Redundancy-set shape: k data + m parity members per set, placed
+  /// across nodes by the node map (codec.hpp). Any <= m simultaneous
+  /// failures within one set restore from parity. The default (1, 1) is a
+  /// partner copy on another node; m = 0 keeps no in-memory redundancy.
+  /// Constraint beyond the codec's: k + m <= 30 (a merged 1-member tail
+  /// makes a set of k + m + 1 <= 31, the chunk-exchange tag budget).
+  int set_data = 1;
+  int set_parity = 1;
   /// Also write each rank's snapshot to the shared SimFs (slowest, most
-  /// durable level — survives every in-memory copy dying at once).
+  /// durable level — survives every in-memory copy dying at once),
+  /// through the background drain pipeline (overlaps compute; the next
+  /// save's commit vote fences it).
   bool spill_to_fs = false;
-  /// Spill through the background drain pipeline (overlaps compute; the
-  /// next save's commit vote fences it). When false the spill is a
-  /// synchronous durable write inside save(), as a lab control.
-  bool async_spill = true;
   /// SimFs path prefix for spilled snapshots.
   std::string fs_prefix = "/ckpt/";
   /// Committed epochs retained in memory (older ones are pruned).
@@ -151,8 +139,7 @@ class Checkpointer {
   /// Coordinated checkpoint over `comm` (collective). Returns the committed
   /// epoch number. Throws Error(comm_revoked) if the communicator is (or
   /// becomes) revoked mid-save, Error(rte_proc_failed) if a member failure
-  /// aborts the vote, Error(arg) if partner_offset self-partners on this
-  /// communicator size; previous epochs are untouched either way.
+  /// aborts the vote; previous epochs are untouched either way.
   std::uint64_t save(const Communicator& comm);
 
   /// Collective restore over the (post-shrink) communicator: reload own
@@ -161,10 +148,6 @@ class Checkpointer {
   /// and Error(rte_not_found) when no candidate epoch is recoverable —
   /// uniformly on every rank.
   RestoreResult restore(const Communicator& comm);
-
-  /// Adjust the partner distance after a shrink changes the communicator
-  /// size (epochs already saved keep the offset they were saved with).
-  void set_partner_offset(int offset) noexcept { cfg_.partner_offset = offset; }
 
   /// Time-based cadence helper: true when the `ckpt.interval.*` cvars say
   /// a save is due at `now_ns` (always true when no interval is
@@ -198,34 +181,22 @@ class Checkpointer {
     void* data = nullptr;
     std::size_t bytes = 0;
   };
-  /// This rank's slice of the save-time erasure-set state: enough to
-  /// recompute every transfer/decode deterministically at restore.
-  struct SetState {
-    SetLayout layout;
-    std::uint64_t chunk_len = 0;
-    /// Serialized-blob size per set member (member index order).
-    std::vector<std::uint64_t> blob_sizes;
-    /// Parity chunks this rank holds, keyed by stripe.
-    std::map<int, std::vector<std::byte>> parity;
-  };
   /// One committed (or staging) checkpoint generation.
   struct Epoch {
     /// My datasets, snapshotted. Keyed by dataset name.
     std::map<std::string, std::vector<std::byte>> own;
-    /// Partner copies held for other ranks, keyed by owner global rank:
-    /// serialized snapshot blobs (decoded on demand at restore).
-    std::map<base::Rank, std::vector<std::byte>> partner;
     /// Global ranks of the communicator at save time, by comm rank.
     std::vector<base::Rank> members;
-    /// Redundancy parameters *as saved* — restore follows these, not the
-    /// current config, so a reconfiguration between epochs stays safe.
-    Scheme scheme = Scheme::partner;
-    int partner_off = 0;
-    /// Configured set shape at save time (every rank can recompute any
-    /// set's layout from these; `set` below only covers this rank's set).
-    int set_k = 0;
-    int set_m = 0;
-    SetState set;
+    /// Redundancy sets *as saved* (comm ranks of `members`) — restore walks
+    /// these, not the current config or communicator.
+    std::vector<SetLayout> sets;
+    int my_set = 0;  ///< index of this rank's set in `sets`
+    int my_idx = 0;  ///< this rank's member index in that set
+    std::uint64_t chunk_len = 0;
+    /// Serialized-blob size per member of my set (member index order).
+    std::vector<std::uint64_t> blob_sizes;
+    /// Parity chunks this rank holds, keyed by stripe.
+    std::map<int, std::vector<std::byte>> parity;
   };
   /// One queued/in-flight async spill.
   struct DrainJob {
@@ -239,8 +210,6 @@ class Checkpointer {
 
   [[nodiscard]] std::string fs_path(std::uint64_t epoch,
                                     base::Rank owner) const;
-  void spill_sync(prte::SimFs& fs, std::uint64_t epoch,
-                  const std::vector<std::byte>& blob, base::Rank my_global);
   void spill_async(prte::SimFs& fs, std::uint64_t epoch,
                    std::vector<std::byte> blob, base::Rank my_global);
   void drain_loop();

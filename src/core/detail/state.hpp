@@ -512,18 +512,20 @@ inline int internal_tag(std::uint32_t seq, int round) {
   return kInternalTagBase - static_cast<int>((seq % (1u << 20)) * 32u) - round;
 }
 
-/// Checkpoint-protocol tags (src/ckpt partner exchange) live between the
-/// internal collective range (bottoms out around -33.6M) and the FT range
-/// (-268M): isolated from application and collective traffic, but — unlike
-/// FT tags — *not* exempt from revoke poisoning: a checkpoint save caught by
-/// a revocation must abort, exactly like application traffic.
+/// Checkpoint-protocol tags (src/ckpt redundancy-set exchange) live
+/// between the internal collective range (bottoms out around -33.6M) and
+/// the FT range (-268M): isolated from application and collective traffic,
+/// but — unlike FT tags — *not* exempt from revoke poisoning: a checkpoint
+/// save caught by a revocation must abort, exactly like application
+/// traffic.
 inline constexpr int kCkptTagBase = -(1 << 27);
 
 /// Tag for sub-step `sub` of checkpoint collective number `seq`. 1024
-/// sub-tags per save: sub 0 = size exchange, sub 1 = partner blob, and
-/// sub 2 + stripe*set_size + chunk for the erasure-set chunk traffic
-/// (which caps redundancy sets at k + m <= 31 members). The offset tops
-/// out at 2^26 - 1, keeping the whole band above kFtTagBase (-2^28).
+/// sub-tags per save: sub 0 = size exchange and sub 2 + stripe*set_size +
+/// chunk for the redundancy-set chunk traffic (which caps a set at 31
+/// members; ckpt::Config keeps k + m <= 30 because a 1-member tail joins
+/// the last set). The offset tops out at 2^26 - 1, keeping the whole band
+/// above kFtTagBase (-2^28).
 inline int ckpt_tag(std::uint32_t seq, int sub) {
   return kCkptTagBase - static_cast<int>((seq % (1u << 16)) * 1024u) - sub;
 }

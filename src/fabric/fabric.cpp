@@ -98,7 +98,7 @@ Fabric::Fabric(base::Topology topo, base::CostModel cost, ReliabilityConfig rel)
   endpoints_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     endpoints_.push_back(std::make_unique<Endpoint>());
-    failed_[i].store(false, std::memory_order_relaxed);
+    failed_[i].store(0, std::memory_order_relaxed);
   }
   {
     FabricRegistry& reg = fabric_registry();
@@ -752,10 +752,13 @@ void Fabric::flush_ack(Flow& f) {
 }
 
 void Fabric::escalate_unreachable(Rank dst) {
-  if (is_failed(dst)) {
-    return;
+  // Claim the escalation first (exactly once per rank), but flip the
+  // failed flag last: whoever observes is_failed(dst) also observes the
+  // counter, the postmortem and the unreachable callback's announcement.
+  if (failed_[static_cast<std::size_t>(dst)].fetch_or(
+          kEscalating, std::memory_order_acq_rel) != 0) {
+    return;  // already dead or already being escalated
   }
-  mark_failed(dst);
   rto_escalations_.fetch_add(1, std::memory_order_relaxed);
   static const auto escalations_counter =
       base::counter("fabric.rto_escalations");
@@ -773,6 +776,7 @@ void Fabric::escalate_unreachable(Rank dst) {
   if (cb) {
     cb(dst);
   }
+  mark_failed(dst);
 }
 
 bool Fabric::pump_pass() {
@@ -996,13 +1000,15 @@ std::uint64_t Fabric::unacked() const {
 
 void Fabric::mark_failed(Rank r) {
   if (topo_.valid_rank(r)) {
-    failed_[static_cast<std::size_t>(r)].store(true, std::memory_order_release);
+    failed_[static_cast<std::size_t>(r)].fetch_or(kFailed,
+                                                  std::memory_order_release);
   }
 }
 
 bool Fabric::is_failed(Rank r) const {
   return topo_.valid_rank(r) &&
-         failed_[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
+         (failed_[static_cast<std::size_t>(r)].load(std::memory_order_acquire) &
+          kFailed) != 0;
 }
 
 }  // namespace sessmpi::fabric

@@ -141,9 +141,9 @@ class Fabric {
   [[nodiscard]] bool is_failed(Rank r) const;
 
   /// Called (off the sender threads, from the pump) when retry exhaustion
-  /// escalates a destination to unreachable — after mark_failed(r), so the
-  /// callback observes the fabric's ground truth. The cluster wires this to
-  /// the PMIx failure-event announcement.
+  /// escalates a destination to unreachable — before mark_failed(r), so
+  /// the death is announced by the time is_failed(r) turns true. The
+  /// cluster wires this to the PMIx failure-event announcement.
   void set_unreachable_callback(std::function<void(Rank)> cb);
 
   /// Chaos hook: packets for which the filter returns true are dropped on
@@ -365,7 +365,12 @@ class Fabric {
   /// this instead of all topo.size()^2 (src,dst) pairs.
   mutable std::mutex active_mu_;
   std::vector<Flow*> active_;
-  std::vector<std::atomic<bool>> failed_;
+  /// Per-rank failure word: kFailed is the ground truth is_failed() reads;
+  /// escalate_unreachable() sets kEscalating first to claim the rank, so
+  /// the escalation runs once even though kFailed is set last.
+  static constexpr std::uint8_t kFailed = 1;
+  static constexpr std::uint8_t kEscalating = 2;
+  std::vector<std::atomic<std::uint8_t>> failed_;
   FilterSlot drop_filter_;
   FilterSlot reorder_filter_;
   FilterSlot ce_marker_;

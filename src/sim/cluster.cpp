@@ -21,8 +21,10 @@ Process::Process(Cluster& cluster, Rank rank)
       endpoint_(cluster.fabric().endpoint(rank)) {}
 
 void Process::fail() {
-  cluster_.fabric().mark_failed(rank_);
+  // Announce before the fabric flag flips: anyone who sees is_failed() can
+  // already re-query psets and failure lists that reflect the death.
   cluster_.dvm().pmix().notify_proc_failed(rank_);
+  cluster_.fabric().mark_failed(rank_);
 }
 
 bool Process::failed() const {
@@ -78,12 +80,13 @@ void Cluster::fail_node(int node) {
   if (node < 0 || node >= topology().num_nodes) {
     throw base::Error(base::ErrClass::rte_bad_param, "invalid node");
   }
+  // Same order as Process::fail(): announce, then flip the fabric flags.
+  dvm_.notify_node_failed(node);
   for (Rank r = 0; r < size(); ++r) {
     if (topology().node_of(r) == node) {
       fabric_.mark_failed(r);
     }
   }
-  dvm_.notify_node_failed(node);
 }
 
 void Cluster::run(const std::function<void(Process&)>& rank_main) {

@@ -60,7 +60,8 @@ class Process {
   std::shared_ptr<void> mpi_state;
   std::mutex mpi_state_mu;
 
-  /// Failure injection: marks this process dead in the fabric and PMIx.
+  /// Failure injection: announces this process dead through PMIx, then
+  /// marks it dead in the fabric.
   void fail();
   [[nodiscard]] bool failed() const;
 
@@ -128,9 +129,10 @@ class Cluster {
   /// Failure injection from outside rank threads.
   void fail_rank(Rank r);
 
-  /// Node-failure injection: every rank hosted on `node` dies at once (the
-  /// fabric flags flip before the runtime announcement, so survivors never
-  /// see a PMIx death notice contradicting a live fabric flag).
+  /// Node-failure injection: every rank hosted on `node` dies at once. As
+  /// for Process::fail(), the runtime announcement comes first and the
+  /// fabric flags flip last, so a survivor that sees a flag flipped never
+  /// re-queries a pset or failure list that still holds the dead rank.
   void fail_node(int node);
 
   /// Set when any rank threw; progress loops poll this to avoid deadlock.

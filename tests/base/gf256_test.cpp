@@ -1,12 +1,14 @@
 // GF(2^8) field arithmetic backing the checkpoint erasure codecs: field
 // axioms over exhaustive element pairs, inverse round-trips, and the
-// Cauchy-submatrix invertibility the MDS recovery guarantee rests on.
+// Cauchy-submatrix invertibility the MDS recovery guarantee rests on —
+// for the raw Cauchy matrix and the column-normalised one the codec uses.
 
 #include "sessmpi/base/gf256.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -96,39 +98,62 @@ std::uint8_t det(std::vector<std::vector<std::uint8_t>> a) {
   return d;
 }
 
+/// Index subsets of {0..n-1} with exactly `e` elements, ascending.
+std::vector<std::vector<int>> subsets(int n, int e) {
+  std::vector<std::vector<int>> out;
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    if (std::popcount(mask) != e) {
+      continue;
+    }
+    std::vector<int> s;
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) {
+        s.push_back(i);
+      }
+    }
+    out.push_back(s);
+  }
+  return out;
+}
+
 TEST(Gf256, EverySquareCauchySubmatrixIsInvertible) {
   // The MDS property in matrix form: recovering e lost data chunks inverts
-  // an e x e submatrix of the Cauchy parity matrix, so every such submatrix
-  // must be nonsingular. Check all of them (up to 3x3) for the set shapes
-  // the checkpoint layer configures.
-  for (const auto& [k, m] :
-       std::vector<std::pair<int, int>>{{4, 2}, {8, 2}, {4, 3}}) {
-    for (int i0 = 0; i0 < m; ++i0) {
-      for (int j0 = 0; j0 < k; ++j0) {
-        EXPECT_NE(cauchy(k, i0, j0), 0);
-        for (int i1 = i0 + 1; i1 < m; ++i1) {
-          for (int j1 = j0 + 1; j1 < k; ++j1) {
-            EXPECT_NE(det({{cauchy(k, i0, j0), cauchy(k, i0, j1)},
-                           {cauchy(k, i1, j0), cauchy(k, i1, j1)}}),
-                      0);
+  // an e x e submatrix of the parity matrix, so every such submatrix must
+  // be nonsingular. Check all of them, for the raw Cauchy matrix and for
+  // the column-normalised one the codec uses (parity_coef), over the set
+  // shapes the checkpoint layer configures.
+  using Matrix = std::uint8_t (*)(int, int, int);
+  for (const Matrix coef : {Matrix{&cauchy}, Matrix{&parity_coef}}) {
+    for (const auto& [k, m] : std::vector<std::pair<int, int>>{
+             {1, 1}, {7, 1}, {4, 2}, {8, 2}, {4, 3}, {10, 4}}) {
+      for (int e = 1; e <= m; ++e) {
+        for (const auto& rows : subsets(m, e)) {
+          for (const auto& cols : subsets(k, e)) {
+            std::vector<std::vector<std::uint8_t>> a(
+                static_cast<std::size_t>(e));
+            for (int r = 0; r < e; ++r) {
+              for (const int c : cols) {
+                a[static_cast<std::size_t>(r)].push_back(
+                    coef(k, rows[static_cast<std::size_t>(r)], c));
+              }
+            }
+            ASSERT_NE(det(a), 0) << "k=" << k << " m=" << m << " e=" << e;
           }
         }
       }
     }
-    if (m >= 3) {
-      for (int j0 = 0; j0 < k; ++j0) {
-        for (int j1 = j0 + 1; j1 < k; ++j1) {
-          for (int j2 = j1 + 1; j2 < k; ++j2) {
-            std::vector<std::vector<std::uint8_t>> a(
-                3, std::vector<std::uint8_t>(3));
-            for (int i = 0; i < 3; ++i) {
-              a[static_cast<std::size_t>(i)] = {cauchy(k, i, j0),
-                                                cauchy(k, i, j1),
-                                                cauchy(k, i, j2)};
-            }
-            EXPECT_NE(det(a), 0);
-          }
-        }
+  }
+}
+
+TEST(Gf256, NormalisedParityRowZeroIsAllOnes) {
+  // parity_coef scales column j of the Cauchy matrix by 1 / C[0][j]: row 0
+  // becomes all ones (parity 0 = XOR of the data) and every other element
+  // is the Cauchy element times that column's scale.
+  for (int k = 1; k <= 16; ++k) {
+    for (int j = 0; j < k; ++j) {
+      EXPECT_EQ(parity_coef(k, 0, j), 1);
+      for (int i = 1; i < 4; ++i) {
+        EXPECT_EQ(parity_coef(k, i, j), div(cauchy(k, i, j), cauchy(k, 0, j)));
       }
     }
   }

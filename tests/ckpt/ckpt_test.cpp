@@ -1,6 +1,8 @@
-// Checkpoint/restart subsystem tests: coordinated save, partner
-// redundancy, epoch metadata, revocation interaction, and the recovery
-// edge cases (dead partner, filesystem fallback, empty history).
+// Checkpoint/restart subsystem tests: coordinated save, the default (1, 1)
+// partner-copy redundancy sets, epoch metadata, revocation interaction,
+// re-pairing after a shrink, and the recovery edge cases (dead partner,
+// filesystem fallback, empty history). Victims that must share a set are
+// picked from ckpt::set_layouts(), never from rank arithmetic.
 
 #include "sessmpi/ckpt/ckpt.hpp"
 
@@ -11,7 +13,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -34,6 +38,29 @@ std::vector<std::uint8_t> payload(int rank, int step, std::size_t n) {
                                      7u * static_cast<unsigned>(step) + i);
   }
   return v;
+}
+
+/// The default-shape redundancy set (global ranks) holding `rank` when the
+/// whole nodes x ppn world saves.
+std::vector<int> world_set_of(int nodes, int ppn, int rank) {
+  const base::Topology topo{nodes, ppn};
+  std::vector<base::Rank> world(static_cast<std::size_t>(topo.size()));
+  std::iota(world.begin(), world.end(), 0);
+  for (const auto& set : ckpt::set_layouts(world, topo, 1, 1)) {
+    if (set.member_of(rank) >= 0) {
+      return set.members;  // comm ranks of the world == global ranks
+    }
+  }
+  return {};
+}
+
+/// Wait (as a survivor) until every rank in `dead` is marked failed.
+void await_failed(sim::Process& p, const std::vector<int>& dead) {
+  for (const int d : dead) {
+    while (!p.cluster().fabric().is_failed(d)) {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
 }
 
 /// In-place update of a registered buffer. Plain `dst = src` would move the
@@ -196,33 +223,105 @@ TEST(Ckpt, RestoreWithNoCommittedEpochFailsCleanly) {
   });
 }
 
-TEST(Ckpt, SelfPartneringOffsetRejected) {
-  world_run(1, 4, [](sim::Process& p) {
+TEST(Ckpt, ShrinkRepairsCopiesWithoutReaim) {
+  // 2 x 4 with the default (1, 1) shape: one kill, shrink to 7, save again
+  // with no call that re-aims the copies, a second kill, and every dead
+  // shard still comes back from an in-memory copy — the sets are re-placed
+  // from the node map on every save.
+  constexpr int kNodes = 2;
+  constexpr int kPpn = 4;
+  constexpr int kFirst = 5;
+  const std::uint64_t parity_before =
+      base::counters().value("ckpt.parity_rebuilds");
+  std::atomic<int> saved1{0};
+  std::atomic<int> saved2{0};
+  std::atomic<int> second_victim{-1};
+  std::mutex mu;
+  std::multiset<std::pair<std::uint64_t, int>> adopted;  // (epoch, owner)
+  int from_fs = 0;
+  world_run(kNodes, kPpn, [&](sim::Process& p) {
     const int me = static_cast<int>(p.rank());
-    std::vector<std::uint8_t> data = payload(me, 1, 16);
-    ckpt::Config cfg;
-    cfg.partner_offset = 8;  // 8 mod 4 == 0: every rank would partner itself
-    ckpt::Checkpointer ck("selfpartner", cfg);
+    std::vector<std::uint8_t> data = payload(me, 1, 48);
+    ckpt::Checkpointer ck("reaim");
     ck.register_dataset("data", data.data(), data.size());
-    try {
-      ck.save(comm_world());
-      FAIL() << "self-partnering save must throw";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.error_class(), ErrClass::arg);
-    }
-    EXPECT_EQ(ck.last_committed(), 0u);
-    comm_world().barrier();  // the rejection is local and leaves comm usable
-    // A corrected offset makes the same checkpointer functional again.
-    ck.set_partner_offset(1);
     EXPECT_EQ(ck.save(comm_world()), 1u);
-    EXPECT_EQ(ck.last_committed(), 1u);
+    saved1.fetch_add(1);
+    if (me == kFirst) {
+      while (saved1.load() < kNodes * kPpn) {
+        std::this_thread::sleep_for(1ms);
+      }
+      p.fail();
+      return;
+    }
+    await_failed(p, {kFirst});
+    comm_world().ack_failed();
+    Communicator seven = comm_world().shrink();
+    ASSERT_EQ(seven.size(), 7);
+    const auto record = [&](const ckpt::RestoreResult& res) {
+      std::lock_guard lk(mu);
+      from_fs += res.from_fs;
+      for (const auto& shard : res.adopted) {
+        const int owner = static_cast<int>(shard.owner);
+        adopted.emplace(res.epoch, owner);
+        const auto want = payload(owner, static_cast<int>(res.epoch), 48);
+        ASSERT_EQ(shard.bytes.size(), want.size());
+        EXPECT_EQ(std::memcmp(shard.bytes.data(), want.data(), want.size()),
+                  0);
+      }
+    };
+    const ckpt::RestoreResult r1 = ck.restore(seven);
+    EXPECT_EQ(r1.epoch, 1u);
+    record(r1);
+
+    // Epoch 2 on the 7 survivors. The odd rank out joins a pair as one
+    // more data member (XOR), so nobody is left without a copy: kill
+    // exactly that rank.
+    overwrite(data, payload(me, 2, 48));
+    EXPECT_EQ(ck.save(seven), 2u);
+    const std::vector<base::Rank> members = seven.group().members();
+    const auto sets =
+        ckpt::set_layouts(members, p.cluster().topology(), 1, 1);
+    ASSERT_EQ(sets.back().size(), 3);
+    const int second =
+        members[static_cast<std::size_t>(sets.back().members.back())];
+    second_victim.store(second);
+    saved2.fetch_add(1);
+    if (me == second) {
+      while (saved2.load() < 7) {
+        std::this_thread::sleep_for(1ms);
+      }
+      p.fail();
+      return;
+    }
+    await_failed(p, {second});
+    seven.ack_failed();
+    Communicator six = seven.shrink();
+    const ckpt::RestoreResult r2 = ck.restore(six);
+    EXPECT_EQ(r2.epoch, 2u);
+    EXPECT_EQ(data, payload(me, 2, 48));
+    record(r2);
+    six.free();
+    seven.free();
   });
+  // Each dead shard was adopted exactly once, from its set's copy.
+  const std::multiset<std::pair<std::uint64_t, int>> want{
+      {1, kFirst}, {2, second_victim.load()}};
+  EXPECT_EQ(adopted, want);
+  EXPECT_EQ(from_fs, 0);
+  EXPECT_GE(base::counters().value("ckpt.parity_rebuilds"),
+            parity_before + 2);
 }
 
 TEST(Ckpt, PartnerRebuildAdoptsDeadRanksShard) {
   constexpr int kRanks = 4;
+  constexpr int kVictim = 1;
+  // The default (1, 1) shape pairs every rank with one partner; the
+  // surviving partner holds the copy and adopts the shard.
+  const std::vector<int> pair = world_set_of(1, kRanks, kVictim);
+  ASSERT_EQ(pair.size(), 2u);
+  const int partner = pair[0] == kVictim ? pair[1] : pair[0];
   const std::uint64_t rebuilds_before =
-      base::counters().value("ckpt.partner_rebuilds");
+      base::counters().value("ckpt.parity_rebuilds");
   std::atomic<int> saved{0};
   world_run(1, kRanks, [&](sim::Process& p) {
     const int me = static_cast<int>(p.rank());
@@ -232,7 +331,7 @@ TEST(Ckpt, PartnerRebuildAdoptsDeadRanksShard) {
     ck.save(comm_world());
     saved.fetch_add(1);
 
-    if (me == 1) {
+    if (me == kVictim) {
       // Die only after every rank committed, so the save itself is clean.
       while (saved.load() < kRanks) {
         std::this_thread::sleep_for(1ms);
@@ -240,36 +339,38 @@ TEST(Ckpt, PartnerRebuildAdoptsDeadRanksShard) {
       p.fail();
       return;
     }
-    while (!p.cluster().fabric().is_failed(1)) {
-      std::this_thread::sleep_for(1ms);
-    }
+    await_failed(p, {kVictim});
     // ULFM recipe: revoke, shrink, then restore over the survivors.
     comm_world().ack_failed();
     Communicator survivors = comm_world().shrink();
     const ckpt::RestoreResult res = ck.restore(survivors);
     EXPECT_EQ(res.epoch, 1u);
     EXPECT_EQ(data, payload(me, 1, 64));
-    if (me == 2) {
-      // Rank 1's save-time partner was (1 + 1) mod 4 = 2: it adopts.
+    if (me == partner) {
       ASSERT_EQ(res.adopted.size(), 1u);
-      EXPECT_EQ(res.adopted[0].owner, 1);
+      EXPECT_EQ(res.adopted[0].owner, kVictim);
       EXPECT_EQ(res.adopted[0].dataset, "data");
-      const auto want = payload(1, 1, 64);
+      const auto want = payload(kVictim, 1, 64);
       ASSERT_EQ(res.adopted[0].bytes.size(), want.size());
       EXPECT_EQ(std::memcmp(res.adopted[0].bytes.data(), want.data(),
                             want.size()),
                 0);
       EXPECT_EQ(res.from_fs, 0);
+      EXPECT_EQ(res.from_parity, 1);
     } else {
       EXPECT_TRUE(res.adopted.empty());
     }
     survivors.free();
   });
-  EXPECT_GT(base::counters().value("ckpt.partner_rebuilds"), rebuilds_before);
+  EXPECT_GT(base::counters().value("ckpt.parity_rebuilds"), rebuilds_before);
 }
 
 TEST(Ckpt, UnrecoverableWhenOwnerAndPartnerBothDieWithoutSpill) {
   constexpr int kRanks = 4;
+  // Rank 1 and its partner both die: the shard of rank 1 has no surviving
+  // copy and no spill was configured.
+  const std::vector<int> dead = world_set_of(1, kRanks, 1);
+  ASSERT_EQ(dead.size(), 2u);
   std::atomic<int> saved{0};
   world_run(1, kRanks, [&](sim::Process& p) {
     const int me = static_cast<int>(p.rank());
@@ -279,19 +380,14 @@ TEST(Ckpt, UnrecoverableWhenOwnerAndPartnerBothDieWithoutSpill) {
     ck.save(comm_world());
     saved.fetch_add(1);
 
-    // Rank 1 and its partner (rank 2) both die: the shard of rank 1 has no
-    // surviving copy and no spill was configured.
-    if (me == 1 || me == 2) {
+    if (std::count(dead.begin(), dead.end(), me) != 0) {
       while (saved.load() < kRanks) {
         std::this_thread::sleep_for(1ms);
       }
       p.fail();
       return;
     }
-    while (!p.cluster().fabric().is_failed(1) ||
-           !p.cluster().fabric().is_failed(2)) {
-      std::this_thread::sleep_for(1ms);
-    }
+    await_failed(p, dead);
     comm_world().ack_failed();
     Communicator survivors = comm_world().shrink();
     try {
@@ -310,9 +406,22 @@ TEST(Ckpt, UnrecoverableWhenOwnerAndPartnerBothDieWithoutSpill) {
 }
 
 TEST(Ckpt, FilesystemSpillRecoversWhenOwnerAndPartnerBothDie) {
-  constexpr int kRanks = 4;
+  constexpr int kRanks = 6;
+  // Victims: rank 1 with its partner (a whole pair: spill only), plus one
+  // member of another pair (its partner survives: copy only).
+  std::vector<int> dead = world_set_of(1, kRanks, 1);
+  ASSERT_EQ(dead.size(), 2u);
+  int lone = 0;
+  while (std::count(dead.begin(), dead.end(), lone) != 0) {
+    ++lone;
+  }
+  dead.push_back(lone);
   const std::uint64_t fs_before = base::counters().value("ckpt.fs_rebuilds");
   std::atomic<int> saved{0};
+  std::mutex mu;
+  std::multiset<int> adopted;
+  int from_fs = 0;
+  int from_parity = 0;
   world_run(1, kRanks, [&](sim::Process& p) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, 96);
@@ -327,42 +436,37 @@ TEST(Ckpt, FilesystemSpillRecoversWhenOwnerAndPartnerBothDie) {
     EXPECT_TRUE(ck.drain_fence());
     saved.fetch_add(1);
 
-    if (me == 1 || me == 2) {
+    if (std::count(dead.begin(), dead.end(), me) != 0) {
       while (saved.load() < kRanks) {
         std::this_thread::sleep_for(1ms);
       }
       p.fail();
       return;
     }
-    while (!p.cluster().fabric().is_failed(1) ||
-           !p.cluster().fabric().is_failed(2)) {
-      std::this_thread::sleep_for(1ms);
-    }
+    await_failed(p, dead);
     comm_world().ack_failed();
     Communicator survivors = comm_world().shrink();
     const ckpt::RestoreResult res = ck.restore(survivors);
     EXPECT_EQ(res.epoch, 1u);
     EXPECT_EQ(data, payload(me, 1, 96));
-    // Owner 2's save-time partner (rank 3) survived, so that shard comes
-    // back the cheap way; owner 1's partner (rank 2) died with it, so its
-    // shard must come off the filesystem spill — adopted by rank 0 (the
-    // deterministic round-robin assignee of orphan 0).
-    ASSERT_EQ(res.adopted.size(), 1u);
-    const int owner = static_cast<int>(res.adopted[0].owner);
-    if (me == 0) {
-      EXPECT_EQ(owner, 1);
-      EXPECT_EQ(res.from_fs, 1);
-    } else {
-      EXPECT_EQ(owner, 2);
-      EXPECT_EQ(res.from_fs, 0);  // partner rebuild, not spill
+    std::lock_guard lk(mu);
+    from_fs += res.from_fs;
+    from_parity += res.from_parity;
+    for (const auto& shard : res.adopted) {
+      adopted.insert(static_cast<int>(shard.owner));
+      const auto want = payload(static_cast<int>(shard.owner), 1, 96);
+      ASSERT_EQ(shard.bytes.size(), want.size());
+      EXPECT_EQ(std::memcmp(shard.bytes.data(), want.data(), want.size()),
+                0);
     }
-    const auto want = payload(owner, 1, 96);
-    ASSERT_EQ(res.adopted[0].bytes.size(), want.size());
-    EXPECT_EQ(
-        std::memcmp(res.adopted[0].bytes.data(), want.data(), want.size()), 0);
     survivors.free();
   });
-  EXPECT_GE(base::counters().value("ckpt.fs_rebuilds"), fs_before + 1);
+  // The dead pair's shards come off the filesystem spill; the lone
+  // victim's comes back the cheap way, from its surviving partner.
+  EXPECT_EQ(adopted, std::multiset<int>(dead.begin(), dead.end()));
+  EXPECT_EQ(from_fs, 2);
+  EXPECT_EQ(from_parity, 1);
+  EXPECT_GE(base::counters().value("ckpt.fs_rebuilds"), fs_before + 2);
 }
 
 }  // namespace

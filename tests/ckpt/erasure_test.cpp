@@ -107,8 +107,6 @@ void kill_and_restore(sim::Process& p, ckpt::Checkpointer& ck,
 TEST(CkptErasure, RsRestoresTwoKillsInOneSetFromParityAlone) {
   constexpr int kRanks = 6;  // exactly one RS(4, 2) set
   constexpr std::size_t kBytes = 96;
-  const std::uint64_t partner_before =
-      base::counters().value("ckpt.partner_rebuilds");
   const std::uint64_t parity_before =
       base::counters().value("ckpt.parity_rebuilds");
   std::atomic<int> saved{0};
@@ -117,7 +115,6 @@ TEST(CkptErasure, RsRestoresTwoKillsInOneSetFromParityAlone) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, kBytes);
     ckpt::Config cfg;
-    cfg.scheme = ckpt::Scheme::reed_solomon;
     cfg.set_data = 4;
     cfg.set_parity = 2;
     ckpt::Checkpointer ck("rs2kill", cfg);
@@ -125,18 +122,19 @@ TEST(CkptErasure, RsRestoresTwoKillsInOneSetFromParityAlone) {
     EXPECT_EQ(ck.save(comm_world()), 1u);
     kill_and_restore(p, ck, data, kBytes, {1, 2}, &saved, kRanks, &got);
   });
-  // Both dead shards decoded from set parity — bitwise, with zero partner
-  // copies involved and nothing read back from the filesystem.
+  // Both dead shards decoded from set parity — bitwise, with nothing read
+  // back from the filesystem.
   got.expect_owners({1, 2}, kBytes, 1);
   EXPECT_EQ(got.from_parity, 2);
   EXPECT_EQ(got.from_fs, 0);
-  EXPECT_EQ(base::counters().value("ckpt.partner_rebuilds"), partner_before);
   EXPECT_GE(base::counters().value("ckpt.parity_rebuilds"),
             parity_before + 2);
 }
 
 TEST(CkptErasure, XorRestoresOneKillPerSetAcrossSets) {
-  constexpr int kRanks = 8;  // two XOR(3, 1) sets: {0..3} and {4..7}
+  // Two RS(3, 1) sets on one node, {0..3} and {4..7}: parity is the XOR of
+  // the data chunks.
+  constexpr int kRanks = 8;
   constexpr std::size_t kBytes = 64;
   std::atomic<int> saved{0};
   Adopted got;
@@ -144,7 +142,6 @@ TEST(CkptErasure, XorRestoresOneKillPerSetAcrossSets) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, kBytes);
     ckpt::Config cfg;
-    cfg.scheme = ckpt::Scheme::xor_parity;
     cfg.set_data = 3;
     cfg.set_parity = 1;
     ckpt::Checkpointer ck("xor2sets", cfg);
@@ -166,7 +163,6 @@ TEST(CkptErasure, BeyondParityToleranceIsUnrecoverableWithoutSpill) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, kBytes);
     ckpt::Config cfg;
-    cfg.scheme = ckpt::Scheme::reed_solomon;
     cfg.set_data = 4;
     cfg.set_parity = 2;
     ckpt::Checkpointer ck("rs3kill", cfg);
@@ -213,7 +209,6 @@ TEST(CkptErasure, BeyondParityToleranceRecoversFromDurableSpill) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, kBytes);
     ckpt::Config cfg;
-    cfg.scheme = ckpt::Scheme::reed_solomon;
     cfg.set_data = 4;
     cfg.set_parity = 2;
     cfg.spill_to_fs = true;
@@ -234,6 +229,16 @@ TEST(CkptErasure, BeyondParityToleranceRecoversFromDurableSpill) {
 TEST(CkptErasure, DeathMidDrainFallsBackToPreviousDurableEpoch) {
   constexpr int kRanks = 4;
   constexpr std::size_t kBytes = 4096;
+  // Rank 1 and its (1, 1) partner: the whole pair dies, so only the spill
+  // holds their shards.
+  const base::Topology topo{1, kRanks};
+  std::set<int> dead;
+  for (const auto& set : ckpt::set_layouts({0, 1, 2, 3}, topo, 1, 1)) {
+    if (set.member_of(1) >= 0) {
+      dead.insert(set.members.begin(), set.members.end());
+    }
+  }
+  ASSERT_EQ(dead.size(), 2u);
   std::atomic<int> saved{0};
   Adopted got;
   world_run(1, kRanks, [&](sim::Process& p) {
@@ -254,14 +259,14 @@ TEST(CkptErasure, DeathMidDrainFallsBackToPreviousDurableEpoch) {
     std::copy_n(payload(me, 2, kBytes).begin(), kBytes, data.begin());
     EXPECT_EQ(ck.save(comm_world()), 2u);
 
-    // Ranks 1 and 2 (owner + its partner for epoch 2) die mid-drain: their
-    // Checkpointer teardown cancels the in-flight spill, so epoch 2 never
-    // gets its ".ok" marker there and restore must fall back to epoch 1.
-    kill_and_restore(p, ck, data, kBytes, {1, 2}, &saved, kRanks, &got,
+    // The pair dies mid-drain: their Checkpointer teardown cancels the
+    // in-flight spill, so epoch 2 never gets its ".ok" marker there and
+    // restore must fall back to epoch 1.
+    kill_and_restore(p, ck, data, kBytes, dead, &saved, kRanks, &got,
                      /*expect_epoch=*/1);
   });
-  got.expect_owners({1, 2}, kBytes, 1);
-  EXPECT_EQ(got.from_fs, 1);  // owner 1 (partner also dead) off epoch 1 spill
+  got.expect_owners(dead, kBytes, 1);
+  EXPECT_EQ(got.from_fs, 2);  // both shards off the epoch 1 spill
 }
 
 TEST(CkptErasure, TransientSpillFaultsRetryToDurable) {

@@ -2,7 +2,7 @@
 // OS thread per rank (sim.scheduler=threads) and once on the cooperative
 // fiber pool (sim.scheduler=fibers) — and must produce an identical digest:
 // the same per-rank results bit for bit, and the same deltas on the
-// deterministic counters (modex fetches, shrinks, partner rebuilds, ...).
+// deterministic counters (modex fetches, shrinks, parity rebuilds, ...).
 // SCHED_CASE (modeled on SOAK_CASE) expands each scenario into its own
 // ctest case.
 //
@@ -203,7 +203,7 @@ struct CkptParams {
 /// survivors' final iteration counts — all of which must be independent of
 /// the scheduler and, per seed, of the run.
 Digest ckpt_restore_scenario(const CkptParams& prm) {
-  CounterWatch watch({"ckpt.partner_rebuilds", "ft.shrinks"});
+  CounterWatch watch({"ckpt.parity_rebuilds", "ft.shrinks"});
   constexpr int kNodes = 2, kPpn = 3;
   constexpr std::uint64_t kIters = 9;
 
@@ -233,8 +233,7 @@ Digest ckpt_restore_scenario(const CkptParams& prm) {
 
     std::vector<std::uint8_t> data = state_of(g, 0);
     std::uint64_t iter = 0;
-    ckpt::Config cfg;
-    cfg.partner_offset = kPpn;  // partner on the other node
+    ckpt::Config cfg;  // default (1, 1): each rank's copy on the other node
     cfg.spill_to_fs = true;
     ckpt::Checkpointer ck("parity_ckpt", cfg);
     ck.register_dataset("data", data.data(), data.size());
@@ -294,10 +293,6 @@ Digest ckpt_restore_scenario(const CkptParams& prm) {
           Communicator shrunk = comm.shrink();
           comm.free();
           comm = shrunk;
-          if (comm.size() > 1 &&
-              ck.config().partner_offset % comm.size() == 0) {
-            ck.set_partner_offset(1);
-          }
           const ckpt::RestoreResult res = ck.restore(comm);
           // Bitwise rewind against the analytic golden state.
           EXPECT_EQ(iter, res.epoch * kSaveEvery);

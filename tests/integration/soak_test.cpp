@@ -63,11 +63,10 @@ struct SoakParams {
   int kill_every = 0;  ///< cooperative periodic rank kills (0 = off)
   int max_kills = 0;
   std::vector<std::pair<int, int>> kill_node_at;  ///< (step, node)
-  /// In-memory redundancy under test (partner by default; the erasure
-  /// schemes group ranks into (set_data + set_parity) redundancy sets).
-  ckpt::Scheme scheme = ckpt::Scheme::partner;
-  int set_data = 4;
-  int set_parity = 2;
+  /// In-memory redundancy-set shape under test (the default (1, 1) is a
+  /// partner copy on another node).
+  int set_data = 1;
+  int set_parity = 1;
 };
 
 /// What the workload observed, for cross-run comparison.
@@ -128,10 +127,9 @@ void soak_body(sim::Cluster& cluster, sim::ChaosMonkey& monkey,
     std::vector<std::uint8_t> data = state_of(g, 0);
     std::uint64_t iter = 0;
     ckpt::Config cfg;
-    // Partner on another node when there is one (survives node failure);
-    // the filesystem spill is the copy of last resort either way.
-    cfg.partner_offset = prm.nodes > 1 ? prm.ppn : 1;
-    cfg.scheme = prm.scheme;
+    // The node map places every set across nodes when there are several
+    // (survives node failure); the filesystem spill is the copy of last
+    // resort either way.
     cfg.set_data = prm.set_data;
     cfg.set_parity = prm.set_parity;
     cfg.spill_to_fs = true;
@@ -193,13 +191,6 @@ void soak_body(sim::Cluster& cluster, sim::ChaosMonkey& monkey,
           Communicator shrunk = comm.shrink();
           comm.free();
           comm = shrunk;
-          // A shrink can leave the partner offset a multiple of the new
-          // size (self-partnering, which save() rejects): fall back to the
-          // nearest-neighbour partner for the post-recovery epochs.
-          if (comm.size() > 1 &&
-              ck.config().partner_offset % comm.size() == 0) {
-            ck.set_partner_offset(1);
-          }
           const ckpt::RestoreResult res = ck.restore(comm);
           // Feed the interval planner: every survived failure is an MTBF
           // observation (save costs flow in from inside ck.save()).
@@ -470,9 +461,8 @@ TEST(Soak, GoldenBitwiseRestoreAfterNodeKill) {
   faulty_prm.drop = 0.10;
   faulty_prm.kill_node_at = {{5, 1}};
   SoakRecord faulty;
-  const std::uint64_t fs_rebuilds_before =
-      base::counters().value("ckpt.partner_rebuilds") +
-      base::counters().value("ckpt.fs_rebuilds");
+  const std::uint64_t parity_before =
+      base::counters().value("ckpt.parity_rebuilds");
   {
     sim::Cluster cluster{soak_opts(faulty_prm)};
     sim::ChaosMonkey monkey{cluster, soak_policy(faulty_prm)};
@@ -506,10 +496,11 @@ TEST(Soak, GoldenBitwiseRestoreAfterNodeKill) {
 
   // Restores resumed from the last committed epoch (1: the node died before
   // epoch 2), with own data bitwise-equal to the golden save and the dead
-  // node's shards adopted bitwise-intact. With partner_offset == ppn the
-  // dead node's partner copies live on the surviving node — this is exactly
-  // the single-node-loss case SCR's PARTNER level is built for, so every
-  // shard comes back the cheap way and the spill stays untouched.
+  // node's shards adopted bitwise-intact. The default (1, 1) sets pair each
+  // rank with a rank on the other node, so the dead node's copies live on
+  // the surviving node — exactly the single-node-loss case SCR's PARTNER
+  // level is built for: every shard comes back the cheap way and the spill
+  // stays untouched.
   // (keyed by rank: a survivor may legitimately restore more than once if
   // another error lands mid-recovery, so compare each rank's last restore).
   std::map<int, const SoakRecord::Restore*> last_restore;
@@ -538,23 +529,23 @@ TEST(Soak, GoldenBitwiseRestoreAfterNodeKill) {
   }
   EXPECT_EQ(adopted_total, 4);  // every dead rank's dataset was adopted
   EXPECT_EQ(from_fs_total, 0);  // all via surviving cross-node partners
-  EXPECT_GE(base::counters().value("ckpt.partner_rebuilds") +
-                base::counters().value("ckpt.fs_rebuilds"),
-            fs_rebuilds_before + 4);
+  EXPECT_GE(base::counters().value("ckpt.parity_rebuilds"),
+            parity_before + 4);
 }
 
 TEST(Soak, GoldenBitwiseRsParityRestoreAfterTwoKillsInOneSet) {
   // Erasure acceptance scenario: RS(4, 2) redundancy sets over 8 ranks
-  // spread 2-per-node (set 0 = ranks 0..5, tail set = ranks 6..7). Killing
-  // node 1 takes ranks 2 and 3 — two simultaneous deaths *inside one set*,
-  // exactly the code's tolerance — and both shards must decode bitwise
-  // from parity alone: zero partner copies exist, and the spill must stay
-  // untouched.
+  // spread 2-per-node. The node map deals the ranks round-robin across the
+  // 4 nodes (set 0 = ranks {0, 2, 4, 6, 1, 3}, tail set = {5, 7}), so
+  // killing node 1 takes ranks 2 and 3 — two simultaneous deaths *inside
+  // one set*, exactly the code's tolerance — and both shards must decode
+  // bitwise from parity alone, with the spill untouched.
   SoakParams golden_prm;
   golden_prm.nodes = 4;
   golden_prm.ppn = 2;
   golden_prm.iters = 9;
-  golden_prm.scheme = ckpt::Scheme::reed_solomon;
+  golden_prm.set_data = 4;
+  golden_prm.set_parity = 2;
   SoakRecord golden;
   {
     sim::Cluster cluster{soak_opts(golden_prm)};
@@ -573,8 +564,6 @@ TEST(Soak, GoldenBitwiseRsParityRestoreAfterTwoKillsInOneSet) {
   faulty_prm.seed = 2027;
   faulty_prm.kill_node_at = {{5, 1}};  // ranks 2 and 3, between epochs 1 and 2
   SoakRecord faulty;
-  const std::uint64_t partner_before =
-      base::counters().value("ckpt.partner_rebuilds");
   const std::uint64_t parity_before =
       base::counters().value("ckpt.parity_rebuilds");
   {
@@ -627,8 +616,7 @@ TEST(Soak, GoldenBitwiseRsParityRestoreAfterTwoKillsInOneSet) {
   EXPECT_EQ(adopted_total, 2);
   EXPECT_EQ(from_parity_total, 2);  // both decoded from set parity
   EXPECT_EQ(from_fs_total, 0);      // the spill stayed untouched
-  // The headline acceptance check: parity-only recovery, no partner copies.
-  EXPECT_EQ(base::counters().value("ckpt.partner_rebuilds"), partner_before);
+  // The headline acceptance check: parity-only recovery.
   EXPECT_GE(base::counters().value("ckpt.parity_rebuilds"),
             parity_before + 2);
 }
