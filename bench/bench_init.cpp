@@ -154,9 +154,13 @@ void print_scale_cell(const ScaleCell& c) {
 // CI gate: 4096 ranks on fibers, under a wall-clock budget, and
 // the lazy modex must stay O(active peers): the ring + barrier touch a
 // handful of endpoints per rank, so total fetches must sit in [n, 8n] —
-// orders of magnitude below the n^2 of a full modex.
+// orders of magnitude below the n^2 of a full modex. Peak RSS per rank
+// must stay under kMaxKibPerRank: a collective plan that kept O(n) state
+// per rank (n^2 over the job) read ~76 KiB here, node runs read ~27 KiB
+// (Release, 4-core x86-64 host).
 int smoke(int argc, char** argv) {
   constexpr int kNodes = 64, kPpn = 64;
+  constexpr double kMaxKibPerRank = 32;
   const double budget_s =
       std::strtod(arg_value(argc, argv, "--budget=").value_or("120").c_str(),
                   nullptr);
@@ -164,6 +168,8 @@ int smoke(int argc, char** argv) {
   const ScaleCell c = scale_run(kNodes, kPpn, "fibers");
   print_scale_cell(c);
   const std::uint64_t n = static_cast<std::uint64_t>(kNodes) * kPpn;
+  const double kib_per_rank =
+      static_cast<double>(c.hwm_kib) / static_cast<double>(n);
   bool ok = true;
   if (c.wall_s > budget_s) {
     std::cout << "SMOKE FAIL: wall " << base::Table::fmt(c.wall_s)
@@ -176,7 +182,13 @@ int smoke(int argc, char** argv) {
               << "] (n^2 would be " << n * n << ")\n";
     ok = false;
   }
+  if (kib_per_rank > kMaxKibPerRank) {
+    std::cout << "SMOKE FAIL: peak RSS " << base::Table::fmt(kib_per_rank)
+              << " KiB per rank exceeds " << kMaxKibPerRank << " KiB\n";
+    ok = false;
+  }
   record_metric("wall_s", c.wall_s, "lower");
+  record_metric("rss_kib_per_rank", kib_per_rank, "lower");
   record_metric("lazy_fetches_per_rank",
                 static_cast<double>(c.lazy_fetches) / static_cast<double>(n),
                 "lower");
@@ -185,7 +197,8 @@ int smoke(int argc, char** argv) {
   std::cout << (ok ? "SMOKE PASS" : "SMOKE FAIL") << ": " << n
             << " ranks in " << base::Table::fmt(c.wall_s) << "s, "
             << c.lazy_fetches << " lazy fetches (n=" << n << ", n^2 would be "
-            << n * n << "), peak RSS " << c.hwm_kib / 1024 << " MiB\n";
+            << n * n << "), peak RSS " << c.hwm_kib / 1024 << " MiB ("
+            << base::Table::fmt(kib_per_rank) << " KiB per rank)\n";
   return ok ? 0 : 1;
 }
 

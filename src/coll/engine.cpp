@@ -68,7 +68,7 @@ void tree(int vrank, int size, int* parent, std::vector<int>* children) {
 /// Leader of `node`, except the root leads its own node so rooted
 /// operations never relay through an extra hop.
 int head_of(const Plan& p, int node, int root) {
-  return p.node_of[root] == node ? root : p.leaders[node];
+  return p.node_of(root) == node ? root : p.leaders[node];
 }
 
 struct Tree {
@@ -79,8 +79,8 @@ struct Tree {
 /// My edges in the binomial tree over node heads, rotated so the root's
 /// node is the tree root.
 Tree head_tree(const Plan& p, int root) {
-  const int nh = static_cast<int>(p.leaders.size());
-  const int rootnode = p.node_of[root];
+  const int nh = p.nodes();
+  const int rootnode = p.node_of(root);
   const auto head = [&](int v) {
     return head_of(p, (v + rootnode) % nh, root);
   };
@@ -138,7 +138,7 @@ void build_barrier(Sched& sc) {
     sc.read(p.leaders[p.my_node], 1, 1, nullptr, 0);
     return;
   }
-  for (int m : p.node_members[p.my_node]) {
+  for (int m : p.my_members) {
     if (m != sc.me()) {
       sc.read(m, 0, 0, nullptr, 0);
     }
@@ -234,9 +234,8 @@ void build_reduce(Sched& sc, const void* contrib, void* recvbuf, int count,
 void build_reduce_ordered(Sched& sc, const void* contrib, void* recvbuf,
                           int count, std::size_t bytes, int root) {
   const Plan& p = sc.plan();
-  const auto near_root = [&](int r) {
-    return p.node_of[r] == p.node_of[root];
-  };
+  const int rootnode = p.node_of(root);
+  const auto near_root = [&](int r) { return p.node_of(r) == rootnode; };
   if (sc.me() != root) {
     if (near_root(sc.me())) {
       sc.publish(0, 0, contrib, bytes, 1);
@@ -272,7 +271,7 @@ void build_reduce_ordered(Sched& sc, const void* contrib, void* recvbuf,
 /// of the non-power-of-two remainder; every round has its own tag.
 void rd_exchange(Sched& sc, std::byte* acc, int count, std::size_t bytes) {
   const Plan& p = sc.plan();
-  const int nh = static_cast<int>(p.leaders.size());
+  const int nh = p.nodes();
   const int h = p.my_node;
   int pof2 = 1;
   int log2p = 0;
@@ -313,7 +312,7 @@ void rd_exchange(Sched& sc, std::byte* acc, int count, std::size_t bytes) {
 /// in the same order pair up with them.
 void ring_exchange(Sched& sc, std::byte* acc, int count) {
   const Plan& p = sc.plan();
-  const int nh = static_cast<int>(p.leaders.size());
+  const int nh = p.nodes();
   const int h = p.my_node;
   const int chunk = (count + nh - 1) / nh;  // elements
   const auto lo = [&](int k) { return std::min(count, k * chunk); };
@@ -372,7 +371,7 @@ void build_allreduce(Sched& sc, const void* sendbuf, void* recvbuf,
   std::byte* acc = sc.scratch(bytes);
   sc.copy(acc, contrib, bytes);
   fold_members(sc, acc, count);
-  const int nh = static_cast<int>(p.leaders.size());
+  const int nh = p.nodes();
   if (nh >= 4 && bytes >= (128u << 10) && count >= nh) {
     ring_exchange(sc, acc, count);
   } else if (nh > 1) {
@@ -391,21 +390,21 @@ void build_allreduce(Sched& sc, const void* sendbuf, void* recvbuf,
 void build_gather(Sched& sc, const void* contrib, std::size_t sbytes,
                   void* recvbuf, std::size_t rslot, int root) {
   const Plan& p = sc.plan();
-  const auto& mine = p.node_members[p.my_node];
+  const auto& mine = p.my_members;
   if (sc.me() == root) {
     auto* out = static_cast<std::byte*>(recvbuf);
-    std::vector<std::pair<const std::vector<int>*, std::byte*>> unpack;
-    for (int ni = 0; ni < static_cast<int>(p.leaders.size()); ++ni) {
-      const auto& mem = p.node_members[ni];
+    std::vector<std::pair<std::vector<int>, std::byte*>> unpack;
+    for (int ni = 0; ni < p.nodes(); ++ni) {
       if (ni == p.my_node) {
         continue;
       }
-      const bool direct = p.node_contiguous[ni] != 0;
-      std::byte* dst = direct ? out + mem.front() * rslot
-                              : sc.scratch(mem.size() * rslot);
-      sc.recv(head_of(p, ni, root), 0, dst, mem.size() * rslot);
+      const auto size = static_cast<std::size_t>(p.node_size(ni));
+      const bool direct = p.contiguous(ni);
+      std::byte* dst = direct ? out + p.leaders[ni] * rslot
+                              : sc.scratch(size * rslot);
+      sc.recv(head_of(p, ni, root), 0, dst, size * rslot);
       if (!direct) {
-        unpack.emplace_back(&mem, dst);
+        unpack.emplace_back(p.members_of(ni), dst);
       }
     }
     for (int m : mine) {
@@ -418,8 +417,8 @@ void build_gather(Sched& sc, const void* contrib, std::size_t sbytes,
     }
     sc.next();
     for (const auto& [mem, packed] : unpack) {
-      for (std::size_t i = 0; i < mem->size(); ++i) {
-        sc.copy(out + (*mem)[i] * rslot, packed + i * rslot, rslot);
+      for (std::size_t i = 0; i < mem.size(); ++i) {
+        sc.copy(out + mem[i] * rslot, packed + i * rslot, rslot);
       }
     }
   } else if (sc.me() != head_of(p, p.my_node, root)) {
@@ -449,31 +448,32 @@ void build_gather(Sched& sc, const void* contrib, std::size_t sbytes,
 void build_scatter(Sched& sc, const void* sendbuf, std::size_t sslot,
                    void* recvbuf, std::size_t rbytes, int root) {
   const Plan& p = sc.plan();
-  const auto& mine = p.node_members[p.my_node];
+  const auto& mine = p.my_members;
   if (sc.me() == root) {
     const auto* in = static_cast<const std::byte*>(sendbuf);
     sc.publish(0, 0, in, sslot, p.on_node - 1);
-    for (int ni = 0; ni < static_cast<int>(p.leaders.size()); ++ni) {
-      const auto& mem = p.node_members[ni];
+    for (int ni = 0; ni < p.nodes(); ++ni) {
       if (ni == p.my_node) {
         continue;
       }
-      const std::byte* src = in + mem.front() * sslot;
-      if (p.node_contiguous[ni] == 0) {
-        std::byte* packed = sc.scratch(mem.size() * sslot);
-        for (std::size_t i = 0; i < mem.size(); ++i) {
+      const auto size = static_cast<std::size_t>(p.node_size(ni));
+      const std::byte* src = in + p.leaders[ni] * sslot;
+      if (!p.contiguous(ni)) {
+        const std::vector<int> mem = p.members_of(ni);
+        std::byte* packed = sc.scratch(size * sslot);
+        for (std::size_t i = 0; i < size; ++i) {
           sc.copy(packed + i * sslot, in + mem[i] * sslot, sslot);
         }
         src = packed;
       }
-      sc.send(head_of(p, ni, root), 0, src, mem.size() * sslot);
+      sc.send(head_of(p, ni, root), 0, src, size * sslot);
     }
     if (recvbuf != nullptr) {
       sc.copy(recvbuf, in + root * sslot, std::min(sslot, rbytes));
     }
     sc.next();
     sc.drain(0);
-  } else if (p.node_of[root] == p.my_node) {
+  } else if (p.node_of(root) == p.my_node) {
     sc.read(root, 0, 0, recvbuf, rbytes).slice = sc.me();
   } else if (mine.size() == 1) {
     sc.recv(root, 0, recvbuf, rbytes);
@@ -498,13 +498,14 @@ void build_scatter(Sched& sc, const void* sendbuf, std::size_t sslot,
 void build_alltoall(Sched& sc, const void* sendbuf, std::size_t sslot,
                     void* recvbuf, std::size_t rslot) {
   const Plan& p = sc.plan();
-  const int nh = static_cast<int>(p.leaders.size());
+  const int nh = p.nodes();
   const int me = sc.me();
-  const auto& mine = p.node_members[p.my_node];
+  const auto& mine = p.my_members;
   const std::size_t nmine = mine.size();
-  const auto node = [&](int k) -> const std::vector<int>& {
-    return p.node_members[(p.my_node + k) % nh];  // k nodes ahead of mine
-  };
+  std::vector<std::vector<int>> node(static_cast<std::size_t>(nh));
+  for (int k = 0; k < nh; ++k) {
+    node[k] = p.members_of((p.my_node + k) % nh);  // k nodes ahead of mine
+  }
   const auto* in = static_cast<const std::byte*>(sendbuf);
   auto* out = static_cast<std::byte*>(recvbuf);
   const bool head = nh > 1 && p.i_am_leader;
@@ -513,17 +514,17 @@ void build_alltoall(Sched& sc, const void* sendbuf, std::size_t sslot,
   std::vector<std::byte*> packed(nh);
   std::vector<std::byte*> arrived(nh);
   for (int k = 1; head && k < nh; ++k) {
-    packed[k] = sc.scratch(node(k).size() * nmine * sslot);
-    arrived[k] = sc.scratch(nmine * node(nh - k).size() * rslot);
+    packed[k] = sc.scratch(node[k].size() * nmine * sslot);
+    arrived[k] = sc.scratch(nmine * node[nh - k].size() * rslot);
   }
   // Heads pack every member's blocks for every remote member while holding
   // its publication. A round's steps complete in any order, so the reads
   // that release a publication go in a later round than those holding it.
   for (std::size_t mi = 0; head && mi < nmine; ++mi) {
     for (int k = 1; k < nh; ++k) {
-      for (std::size_t di = 0; di < node(k).size(); ++di) {
+      for (std::size_t di = 0; di < node[k].size(); ++di) {
         std::byte* dst = packed[k] + (di * nmine + mi) * sslot;
-        const int d = node(k)[di];
+        const int d = node[k][di];
         if (mine[mi] == me) {
           sc.copy(dst, in + d * sslot, sslot);
         } else {
@@ -544,13 +545,13 @@ void build_alltoall(Sched& sc, const void* sendbuf, std::size_t sslot,
   sc.next();
   for (int k = 1; head && k < nh; ++k) {
     sc.send(p.leaders[(p.my_node + k) % nh], 1, packed[k],
-            node(k).size() * nmine * sslot);
+            node[k].size() * nmine * sslot);
     sc.recv(p.leaders[(p.my_node - k + nh) % nh], 1, arrived[k],
-            nmine * node(nh - k).size() * rslot);
+            nmine * node[nh - k].size() * rslot);
   }
   sc.next();
   for (int k = 1; k < nh; ++k) {
-    const auto& src = node(nh - k);
+    const auto& src = node[nh - k];
     for (std::size_t si = 0; si < src.size(); ++si) {
       const std::size_t slice = p.my_slot * src.size() + si;
       if (head) {

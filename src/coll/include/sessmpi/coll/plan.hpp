@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "sessmpi/base/topology.hpp"
+#include "sessmpi/base/node_layout.hpp"
 #include "sessmpi/coll/shm.hpp"
 
 namespace sessmpi::detail {
@@ -27,13 +27,29 @@ struct Plan {
   int nranks = 0;
   int myrank = -1;
 
-  /// Comm ranks grouped by node, node index ascending by node id; members
-  /// ascending by comm rank. Identical on every member.
-  std::vector<std::vector<int>> node_members;
-  std::vector<int> leaders;                 ///< lowest comm rank per node
-  std::vector<std::uint8_t> node_contiguous;  ///< comm ranks form one run
-  std::vector<int> node_of;  ///< comm rank -> plan node index
-  std::vector<int> slot_of;  ///< comm rank -> position within its node
+  /// Comm rank -> (node, slot) as node runs; nodes are indexed in
+  /// ascending node id, slots ascending by comm rank. Identical on every
+  /// member, and O(nodes) in size.
+  base::NodeLayout layout;
+  std::vector<int> leaders;     ///< lowest comm rank per node
+  std::vector<int> my_members;  ///< my node's comm ranks, ascending
+
+  [[nodiscard]] int nodes() const noexcept {
+    return static_cast<int>(leaders.size());
+  }
+  [[nodiscard]] int node_of(int r) const { return layout.node_of(r); }
+  [[nodiscard]] int slot_of(int r) const { return layout.slot_of(r); }
+  [[nodiscard]] int node_size(int node) const {
+    return layout.node_size(node);
+  }
+  /// `node`'s comm ranks form one run.
+  [[nodiscard]] bool contiguous(int node) const {
+    return layout.contiguous(node);
+  }
+  /// `node`'s comm ranks, ascending.
+  [[nodiscard]] std::vector<int> members_of(int node) const {
+    return layout.members_of(node);
+  }
 
   int my_node = 0;
   int my_slot = 0;

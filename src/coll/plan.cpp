@@ -69,7 +69,10 @@ struct RegionKey {
   friend auto operator<=>(const RegionKey&, const RegionKey&) = default;
 };
 
-using RegionRegistry = std::map<RegionKey, std::weak_ptr<NodeShared>>;
+struct RegionRegistry {
+  std::map<RegionKey, std::weak_ptr<NodeShared>> regions;
+  std::size_t sweep_at = 64;  ///< sweep dead entries once this many exist
+};
 
 /// Attach to (creating on demand) the shared region for `key`. The registry
 /// lives in the cluster's opaque coll_arena slot and holds only weak
@@ -83,9 +86,14 @@ std::shared_ptr<NodeShared> attach_region(sim::Cluster& cluster,
   }
   auto& reg = *std::static_pointer_cast<RegionRegistry>(cluster.coll_arena);
   // Sweep entries whose region died with its last communicator, so a
-  // long-lived cluster churning communicators stays bounded.
-  std::erase_if(reg, [](const auto& kv) { return kv.second.expired(); });
-  std::weak_ptr<NodeShared>& wk = reg[key];
+  // long-lived cluster churning communicators stays bounded. Sweeping only
+  // when the registry doubled keeps an attach amortized O(log regions).
+  if (reg.regions.size() >= reg.sweep_at) {
+    std::erase_if(reg.regions,
+                  [](const auto& kv) { return kv.second.expired(); });
+    reg.sweep_at = std::max<std::size_t>(64, 2 * reg.regions.size());
+  }
+  std::weak_ptr<NodeShared>& wk = reg.regions[key];
   if (auto live = wk.lock()) {
     return live;
   }
@@ -94,44 +102,27 @@ std::shared_ptr<NodeShared> attach_region(sim::Cluster& cluster,
   return fresh;
 }
 
-/// Group the communicator's ranks by hosting node, or with `flat` put
-/// every rank on a node of its own.
+/// Lay the communicator's ranks out by hosting node, or with `flat` put
+/// every rank on a node of its own. O(nodes + ppn) for a sorted group.
 std::shared_ptr<Plan> build(detail::ProcState& ps, const detail::CommState& s,
                             bool flat) {
   const base::Topology& topo = ps.proc.cluster().topology();
-  const auto node_key = [&](int r) {
-    return flat ? r : topo.node_of(s.global_of(r));
-  };
   auto plan = std::make_shared<Plan>();
   const int n = s.size();
   plan->nranks = n;
   plan->myrank = s.myrank;
-  plan->node_of.resize(static_cast<std::size_t>(n));
-  plan->slot_of.resize(static_cast<std::size_t>(n));
-
-  std::map<int, std::vector<int>> by_node;  // node key -> comm ranks
-  for (int r = 0; r < n; ++r) {
-    by_node[node_key(r)].push_back(r);
+  plan->layout = flat ? base::NodeLayout::flat(n)
+                      : base::NodeLayout(s.grp.members(), topo, s.grp.sorted());
+  const base::NodeLayout& lay = plan->layout;
+  plan->leaders.reserve(static_cast<std::size_t>(lay.nodes()));
+  for (int node = 0; node < lay.nodes(); ++node) {
+    plan->leaders.push_back(lay.leader(node));
+    plan->multi_member = plan->multi_member || lay.node_size(node) > 1;
   }
-  for (auto& [key, members] : by_node) {
-    const int idx = static_cast<int>(plan->node_members.size());
-    for (std::size_t pos = 0; pos < members.size(); ++pos) {
-      plan->node_of[static_cast<std::size_t>(members[pos])] = idx;
-      plan->slot_of[static_cast<std::size_t>(members[pos])] =
-          static_cast<int>(pos);
-    }
-    plan->leaders.push_back(members.front());
-    plan->node_contiguous.push_back(
-        members.back() - members.front() + 1 == static_cast<int>(members.size())
-            ? 1
-            : 0);
-    plan->multi_member = plan->multi_member || members.size() > 1;
-    plan->node_members.push_back(std::move(members));
-  }
-  plan->my_node = plan->node_of[static_cast<std::size_t>(s.myrank)];
-  plan->my_slot = plan->slot_of[static_cast<std::size_t>(s.myrank)];
-  const std::vector<int>& mine =
-      plan->node_members[static_cast<std::size_t>(plan->my_node)];
+  plan->my_node = lay.node_of(s.myrank);
+  plan->my_slot = lay.slot_of(s.myrank);
+  plan->my_members = lay.members_of(plan->my_node);
+  const std::vector<int>& mine = plan->my_members;
   plan->on_node = static_cast<int>(mine.size());
   plan->i_am_leader = mine.front() == s.myrank;
 
@@ -144,13 +135,13 @@ std::shared_ptr<Plan> build(detail::ProcState& ps, const detail::CommState& s,
   for (auto& [sock, members] : by_socket) {
     plan->my_sockets.push_back(std::move(members));
   }
-  plan->depth = std::max(1, (plan->node_members.size() > 1 ? 1 : 0) +
+  plan->depth = std::max(1, (plan->nodes() > 1 ? 1 : 0) +
                                 (plan->multi_member ? 1 : 0) +
                                 (plan->my_sockets.size() > 1 ? 1 : 0));
 
   if (plan->on_node > 1) {
     RegionKey key;
-    key.node = node_key(s.myrank);
+    key.node = lay.node_id(plan->my_node);
     if (s.uses_excid) {
       key.excid_hi = s.excid_space.id().hi;
       key.excid_lo = s.excid_space.id().lo;

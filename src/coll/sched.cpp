@@ -296,7 +296,7 @@ bool Sched::complete(Step& st) {
       return true;
     }
     case Kind::read: {
-      Slot& sl = p.region->slot(p.slot_of[st.peer], st.tag);
+      Slot& sl = p.region->slot(p.slot_of(st.peer), st.tag);
       if (sl.seq.load(std::memory_order_acquire) != st.ord) {
         shm_ = true;
         return false;

@@ -37,6 +37,9 @@ class Group {
   [[nodiscard]] base::Rank global_of(int r) const;
   [[nodiscard]] const std::vector<base::Rank>& members() const noexcept;
   [[nodiscard]] bool contains(base::Rank global) const noexcept;
+  /// Members strictly increasing (world, psets, shrink survivors, strided
+  /// subsets, order-keeping splits).
+  [[nodiscard]] bool sorted() const noexcept { return sorted_; }
 
   // --- set operations (MPI_Group_union etc.) -------------------------------
   /// Union: members of *this, then members of other not in *this.

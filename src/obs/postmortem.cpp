@@ -3,6 +3,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -17,14 +18,17 @@ namespace sessmpi::obs {
 namespace {
 
 struct SectionEntry {
-  int token = -1;
   std::string name;
   PostmortemSectionFn fn;
 };
 
+/// Sections keyed by token. Tokens only grow, so key order is registration
+/// order, and unregistering one section costs O(log sections), not a scan.
+using SectionMap = std::map<int, SectionEntry>;
+
 struct PmState {
   std::mutex mu;  ///< guards sections, next_token, dir
-  std::vector<SectionEntry> sections;
+  SectionMap sections;
   int next_token = 1;
   std::string dir;
   std::atomic<bool> dumped{false};
@@ -50,7 +54,7 @@ std::string sanitized(const std::string& s) {
 
 void write_manifest(std::ostream& os, const std::string& reason,
                     std::size_t trace_files, std::uint64_t evicted,
-                    const std::vector<SectionEntry>& sections) {
+                    const SectionMap& sections) {
   os << "{\"postmortem\": {\"reason\": \"" << sanitized(reason)
      << "\", \"trace_files\": " << trace_files
      << ", \"evicted\": " << evicted << "},\n";
@@ -83,7 +87,7 @@ void write_manifest(std::ostream& os, const std::string& reason,
   os << "\n],\n";
   os << "\"sections\": [\n";
   first = true;
-  for (const SectionEntry& s : sections) {
+  for (const auto& [token, s] : sections) {
     if (!first) os << ",\n";
     first = false;
     os << "{\"name\":\"" << sanitized(s.name) << "\",\"data\":";
@@ -104,15 +108,14 @@ int register_postmortem_section(const std::string& name,
   PmState& s = pm();
   std::lock_guard lk(s.mu);
   const int token = s.next_token++;
-  s.sections.push_back({token, name, std::move(fn)});
+  s.sections.emplace(token, SectionEntry{name, std::move(fn)});
   return token;
 }
 
 void unregister_postmortem_section(int token) {
   PmState& s = pm();
   std::lock_guard lk(s.mu);
-  std::erase_if(s.sections,
-                [token](const SectionEntry& e) { return e.token == token; });
+  s.sections.erase(token);
 }
 
 std::string dump_postmortem(const std::string& dir,
@@ -127,7 +130,7 @@ std::string dump_postmortem(const std::string& dir,
     const auto paths = write_rank_traces(dir, "postmortem", events);
     // Snapshot the section list, then run the callbacks without the
     // registry lock: they take subsystem locks of their own.
-    std::vector<SectionEntry> sections;
+    SectionMap sections;
     {
       PmState& s = pm();
       std::lock_guard lk(s.mu);

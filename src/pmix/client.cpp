@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
@@ -10,6 +9,7 @@
 #include "sessmpi/obs/hist.hpp"
 #include "sessmpi/obs/trace.hpp"
 #include "sessmpi/obs/tvar.hpp"
+#include "sessmpi/pmix/participants.hpp"
 
 namespace sessmpi::pmix {
 
@@ -24,17 +24,6 @@ std::uint64_t signature(const std::vector<ProcId>& procs) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// Number of distinct nodes spanned by `procs`. Single O(n) pass — the
-/// find-per-proc variant was O(n * nodes), which dominated 16k-rank fences.
-int nodes_spanned(const base::Topology& topo, const std::vector<ProcId>& procs) {
-  std::unordered_set<int> nodes;
-  nodes.reserve(64);
-  for (ProcId p : procs) {
-    nodes.insert(topo.node_of(p));
-  }
-  return static_cast<int>(nodes.size());
 }
 
 }  // namespace
@@ -166,46 +155,22 @@ PmixClient::pset_snapshot(const std::string& name) {
 }
 
 CollectiveEngine::Outcome PmixClient::hier_collective(
-    const std::string& op_tag, const std::vector<ProcId>& participants,
+    const std::string& op_tag, const Participants& participants,
     std::optional<base::Nanos> timeout,
     const std::function<std::uint64_t()>& on_complete,
     std::int64_t exchange_delay_ns) {
-  const base::Topology& topo = runtime_.topology();
-  const std::string key_base = op_tag + "/" + std::to_string(signature(participants)) +
-                               "#" + std::to_string(next_seq(op_tag));
+  const std::string key_base =
+      op_tag + "/" + std::to_string(signature(participants.procs())) + "#" +
+      std::to_string(next_seq(op_tag));
 
   // Stage 0: notify the local server (serialized per node: fully subscribed
   // nodes pay proportionally more, as in the paper's 28-ppn results).
   runtime_.server_of(self_).rpc_delay();
 
-  const int my_node = topo.node_of(self_);
-  std::vector<ProcId> locals;
-  std::vector<ProcId> delegates;  // lowest participant per node, ascending
-  for (ProcId p : participants) {
-    if (topo.node_of(p) == my_node) {
-      locals.push_back(p);
-    }
-  }
-  {
-    // One O(n) pass: lowest participant per node. The previous rescan-per-
-    // new-node shape was O(n * nodes) — minutes of host time per collective
-    // at 16k participants.
-    std::unordered_map<int, ProcId> lowest_by_node;
-    lowest_by_node.reserve(64);
-    for (ProcId p : participants) {
-      auto [it, inserted] = lowest_by_node.try_emplace(topo.node_of(p), p);
-      if (!inserted && p < it->second) {
-        it->second = p;
-      }
-    }
-    delegates.reserve(lowest_by_node.size());
-    for (const auto& [node, lowest] : lowest_by_node) {
-      delegates.push_back(lowest);
-    }
-    std::sort(delegates.begin(), delegates.end());
-  }
-  const bool is_delegate =
-      std::find(delegates.begin(), delegates.end(), self_) != delegates.end();
+  const int my_node = runtime_.topology().node_of(self_);
+  const std::vector<ProcId> locals = participants.on_node_of(self_);
+  const std::vector<ProcId> delegates = participants.delegates();
+  const bool is_delegate = std::ranges::binary_search(delegates, self_);
 
   CollectiveEngine& engine = runtime_.collectives();
 
@@ -261,14 +226,14 @@ CollectiveEngine::Outcome PmixClient::hier_collective(
 
 base::RtStatus PmixClient::fence(const std::vector<ProcId>& procs,
                                  std::optional<base::Nanos> timeout) {
-  if (std::find(procs.begin(), procs.end(), self_) == procs.end()) {
+  const Participants parts(procs, runtime_.topology());
+  if (!parts.contains(self_)) {
     return base::RtStatus::fail(base::ErrClass::rte_bad_param);
   }
   OBS_SPAN_ARG("pmix.fence", "pmix", procs.size());
   const std::int64_t t0 = base::now_ns();
-  const int span = nodes_spanned(runtime_.topology(), procs);
-  auto out = hier_collective("fence", procs, timeout, nullptr,
-                             runtime_.cost().fence_exchange_cost(span));
+  auto out = hier_collective("fence", parts, timeout, nullptr,
+                             runtime_.cost().fence_exchange_cost(parts.span()));
   static obs::Histogram& hist = obs::histogram("pmix.fence_ns");
   hist.record(static_cast<std::uint64_t>(base::now_ns() - t0));
   poll_events();
@@ -278,8 +243,8 @@ base::RtStatus PmixClient::fence(const std::vector<ProcId>& procs,
 base::Result<GroupResult> PmixClient::group_construct(
     const std::string& name, const std::vector<ProcId>& members,
     const GroupDirectives& dirs) {
-  if (members.empty() ||
-      std::find(members.begin(), members.end(), self_) == members.end()) {
+  const Participants parts(members, runtime_.topology());
+  if (!parts.contains(self_)) {
     return base::ErrClass::rte_bad_param;
   }
   if (dirs.error_on_early_termination) {
@@ -295,12 +260,11 @@ base::Result<GroupResult> PmixClient::group_construct(
   OBS_SPAN_ARG("pmix.group_construct", "pmix", members.size());
   const ProcId leader = dirs.leader.value_or(
       *std::min_element(members.begin(), members.end()));
-  const int span = nodes_spanned(runtime_.topology(), members);
   PmixRuntime& rt = runtime_;
   const bool want_pgcid = dirs.request_pgcid;
   const bool notify = dirs.notify_on_termination;
   auto out = hier_collective(
-      "grp:" + name, members, dirs.timeout,
+      "grp:" + name, parts, dirs.timeout,
       [&rt, name, members, leader, want_pgcid, notify] {
         const std::uint64_t pgcid = want_pgcid ? rt.alloc_pgcid() : 0;
         GroupRecord rec;
@@ -312,7 +276,7 @@ base::Result<GroupResult> PmixClient::group_construct(
         rt.groups().add(std::move(rec));
         return pgcid;
       },
-      rt.cost().group_exchange_cost(span));
+      rt.cost().group_exchange_cost(parts.span()));
   if (!out.status.ok()) {
     return out.status.cls;
   }
@@ -326,16 +290,15 @@ base::Result<GroupResult> PmixClient::group_construct(
 base::Result<std::uint64_t> PmixClient::acquire_pgcid(
     const std::vector<ProcId>& members, const std::string& context,
     std::optional<base::Nanos> timeout) {
-  if (members.empty() ||
-      std::find(members.begin(), members.end(), self_) == members.end()) {
+  const Participants parts(members, runtime_.topology());
+  if (!parts.contains(self_)) {
     return base::ErrClass::rte_bad_param;
   }
   OBS_SPAN_ARG("pmix.pgcid_acquire", "pmix", members.size());
-  const int span = nodes_spanned(runtime_.topology(), members);
   PmixRuntime& rt = runtime_;
   auto out = hier_collective(
-      "pgcid:" + context, members, timeout, [&rt] { return rt.alloc_pgcid(); },
-      rt.cost().group_exchange_cost(span));
+      "pgcid:" + context, parts, timeout, [&rt] { return rt.alloc_pgcid(); },
+      rt.cost().group_exchange_cost(parts.span()));
   if (!out.status.ok()) {
     return out.status.cls;
   }
@@ -345,19 +308,20 @@ base::Result<std::uint64_t> PmixClient::acquire_pgcid(
 base::RtStatus PmixClient::group_destruct(const std::string& name,
                                           const std::vector<ProcId>& members,
                                           std::optional<base::Nanos> timeout) {
-  if (std::find(members.begin(), members.end(), self_) == members.end()) {
+  const Participants parts(members, runtime_.topology());
+  if (!parts.contains(self_)) {
     return base::RtStatus::fail(base::ErrClass::rte_bad_param);
   }
-  const int span = nodes_spanned(runtime_.topology(), members);
   PmixRuntime& rt = runtime_;
   auto out = hier_collective(
-      "grpdel:" + name, members, timeout,
+      "grpdel:" + name, parts, timeout,
       [&rt, name] {
         rt.groups().remove(name);
         return std::uint64_t{0};
       },
       rt.cost().group_destruct_base_ns +
-          rt.cost().fence_per_node_ns * base::CostModel::log2_ceil(span));
+          rt.cost().fence_per_node_ns *
+              base::CostModel::log2_ceil(parts.span()));
   return out.status;
 }
 
@@ -441,7 +405,7 @@ base::Result<GroupResult> PmixClient::group_invite_finalize(
     return base::ErrClass::rte_exists;
   }
   base::precise_delay(runtime_.cost().group_exchange_cost(
-      nodes_spanned(runtime_.topology(), st.joined)));
+      Participants(st.joined, runtime_.topology()).span()));
   Event ready;
   ready.kind = EventKind::group_ready;
   ready.about = st.initiator;

@@ -25,6 +25,8 @@
 
 namespace sessmpi::pmix {
 
+class Participants;
+
 struct GroupResult {
   std::uint64_t pgcid = 0;
   ProcId leader = -1;
@@ -136,7 +138,7 @@ class PmixClient {
   /// across all participants (on the last delegate of the inter-server
   /// stage); its value is distributed to every participant.
   CollectiveEngine::Outcome hier_collective(
-      const std::string& op_tag, const std::vector<ProcId>& participants,
+      const std::string& op_tag, const Participants& participants,
       std::optional<base::Nanos> timeout,
       const std::function<std::uint64_t()>& on_complete,
       std::int64_t exchange_delay_ns);

@@ -1,7 +1,8 @@
 // Tests for the hierarchical collective engine (src/coll): flat/hier
-// result equivalence, non-commutative determinism across algorithm
-// variants, MPI_IN_PLACE and zero-count edge cases, single-copy on-node
-// accounting, plan-cache reuse and revoke/shrink invalidation, and
+// result equivalence on the world and on irregular communicators, plan
+// accessors against a by-node reference, non-commutative determinism
+// across algorithm variants, MPI_IN_PLACE and zero-count edge cases,
+// single-copy on-node accounting, plan-cache reuse and revoke/shrink invalidation, and
 // concurrent collectives on disjoint communicators (the TSan witness for
 // the shared-region release protocol).
 //
@@ -12,15 +13,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "detail/state.hpp"
+#include "../base/member_shapes.hpp"
 #include "harness.hpp"
 #include "sessmpi/coll/plan.hpp"
 #include "sessmpi/base/stats.hpp"
@@ -84,11 +90,14 @@ struct SweepResult {
       allgather, alltoall, scan, exscan;
 };
 
-SweepResult run_sweep(int nodes, int ppn) {
+/// Runs every collective once on the world communicator, or with `make` on
+/// the communicator it derives from the world (freed afterwards).
+SweepResult run_sweep(int nodes, int ppn,
+                      const std::function<Communicator()>& make = nullptr) {
   SweepResult out;
   std::mutex mu;
   world_run(nodes, ppn, [&](sim::Process&) {
-    Communicator w = comm_world();
+    Communicator w = make ? make() : comm_world();
     const int n = w.size();
     const int me = w.rank();
 
@@ -133,6 +142,9 @@ SweepResult run_sweep(int nodes, int ppn) {
     w.scan(&mine, &scn, 1, Datatype::int64(), digits_op());
     std::int64_t exs = -1;
     w.exscan(&mine, &exs, 1, Datatype::int64(), digits_op());
+    if (make) {
+      w.free();
+    }
 
     std::lock_guard lock(mu);
     out.bcast.insert(out.bcast.end(), b.begin(), b.end());
@@ -157,16 +169,7 @@ SweepResult run_sweep(int nodes, int ppn) {
   return out;
 }
 
-TEST_P(CollShapes, HierMatchesFlatBitForBit) {
-  SweepResult flat, hier;
-  {
-    AlgoGuard g{"flat"};
-    flat = run_sweep(nodes(), ppn());
-  }
-  {
-    AlgoGuard g{"auto"};
-    hier = run_sweep(nodes(), ppn());
-  }
+void expect_same(const SweepResult& flat, const SweepResult& hier) {
   EXPECT_EQ(flat.bcast, hier.bcast);
   EXPECT_EQ(flat.reduce, hier.reduce);
   EXPECT_EQ(flat.allreduce, hier.allreduce);
@@ -178,6 +181,19 @@ TEST_P(CollShapes, HierMatchesFlatBitForBit) {
   EXPECT_EQ(flat.exscan, hier.exscan);
 }
 
+TEST_P(CollShapes, HierMatchesFlatBitForBit) {
+  SweepResult flat, hier;
+  {
+    AlgoGuard g{"flat"};
+    flat = run_sweep(nodes(), ppn());
+  }
+  {
+    AlgoGuard g{"auto"};
+    hier = run_sweep(nodes(), ppn());
+  }
+  expect_same(flat, hier);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, CollShapes,
                          ::testing::Values(ShapeParam{1, 1}, ShapeParam{1, 6},
                                            ShapeParam{6, 1}, ShapeParam{2, 4},
@@ -186,6 +202,159 @@ INSTANTIATE_TEST_SUITE_P(Shapes, CollShapes,
                            return std::to_string(info.param.nodes) + "x" +
                                   std::to_string(info.param.ppn);
                          });
+
+// ---------------------------------------------------------------------------
+// The same sweep on communicators whose nodes are not one ascending run of
+// comm ranks: strided (the even and the odd ranks), reversed (nodes in
+// descending order), and node-interleaved (every node's ranks strided), so
+// the rooted gather/scatter pack and unpack and the alltoall ladder run on
+// plans laid out by binary search over the runs.
+
+enum class Irregular { even_odd, reversed, interleaved };
+
+struct IrregularParam {
+  int nodes;
+  int ppn;
+  Irregular kind;
+};
+
+std::string irregular_name(Irregular kind) {
+  switch (kind) {
+    case Irregular::even_odd: return "even_odd";
+    case Irregular::reversed: return "reversed";
+    case Irregular::interleaved: return "interleaved";
+  }
+  return "?";
+}
+
+class CollIrregular : public ::testing::TestWithParam<IrregularParam> {};
+
+Communicator make_irregular(const IrregularParam& prm) {
+  Communicator w = comm_world();
+  switch (prm.kind) {
+    case Irregular::even_odd:
+      return w.split(w.rank() % 2, w.rank());
+    case Irregular::reversed:
+      return w.split(0, -w.rank());
+    case Irregular::interleaved:
+      break;
+  }
+  std::vector<int> order;
+  for (int slot = 0; slot < prm.ppn; ++slot) {
+    for (int node = 0; node < prm.nodes; ++node) {
+      order.push_back(node * prm.ppn + slot);
+    }
+  }
+  return w.create_group(w.group().incl(order), 9);
+}
+
+TEST_P(CollIrregular, HierMatchesFlatBitForBit) {
+  const IrregularParam prm = GetParam();
+  const auto make = [prm] { return make_irregular(prm); };
+  SweepResult flat, hier;
+  {
+    AlgoGuard g{"flat"};
+    flat = run_sweep(prm.nodes, prm.ppn, make);
+  }
+  {
+    AlgoGuard g{"auto"};
+    hier = run_sweep(prm.nodes, prm.ppn, make);
+  }
+  expect_same(flat, hier);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Comms, CollIrregular,
+    ::testing::Values(IrregularParam{2, 4, Irregular::even_odd},
+                      IrregularParam{2, 4, Irregular::reversed},
+                      IrregularParam{2, 4, Irregular::interleaved},
+                      IrregularParam{3, 3, Irregular::even_odd},
+                      IrregularParam{3, 3, Irregular::reversed},
+                      IrregularParam{3, 3, Irregular::interleaved}),
+    [](const auto& info) {
+      return std::to_string(info.param.nodes) + "x" +
+             std::to_string(info.param.ppn) + "_" +
+             irregular_name(info.param.kind);
+    });
+
+// ---------------------------------------------------------------------------
+// Plan accessors: over seeded member lists of every shape, on one and two
+// sockets per node, the topology plan's node/slot lookups, leaders, member
+// lists and socket grouping match the by-node map the plan builder used to
+// keep on every rank.
+
+void expect_plan_matches(const coll::Plan& plan,
+                         const std::vector<base::Rank>& members,
+                         const base::Topology& topo) {
+  const auto ref = testing::by_node(members, topo);
+  ASSERT_EQ(plan.nodes(), static_cast<int>(ref.size()));
+  int idx = 0;
+  for (const auto& [id, ranks] : ref) {
+    EXPECT_EQ(plan.leaders[static_cast<std::size_t>(idx)], ranks.front());
+    EXPECT_EQ(plan.node_size(idx), static_cast<int>(ranks.size()));
+    EXPECT_EQ(plan.contiguous(idx),
+              ranks.back() - ranks.front() + 1 ==
+                  static_cast<int>(ranks.size()));
+    EXPECT_EQ(plan.members_of(idx), ranks);
+    for (std::size_t slot = 0; slot < ranks.size(); ++slot) {
+      EXPECT_EQ(plan.node_of(ranks[slot]), idx);
+      EXPECT_EQ(plan.slot_of(ranks[slot]), static_cast<int>(slot));
+      if (ranks[slot] == plan.myrank) {
+        EXPECT_EQ(plan.my_node, idx);
+        EXPECT_EQ(plan.my_slot, static_cast<int>(slot));
+        EXPECT_EQ(plan.my_members, ranks);
+        EXPECT_EQ(plan.on_node, static_cast<int>(ranks.size()));
+        EXPECT_EQ(plan.i_am_leader, slot == 0);
+        std::map<int, std::vector<int>> by_socket;
+        std::vector<base::Rank> globals;
+        for (int m : ranks) {
+          const base::Rank g = members[static_cast<std::size_t>(m)];
+          by_socket[topo.socket_of(g)].push_back(m);
+          globals.push_back(g);
+        }
+        std::vector<std::vector<int>> sockets;
+        for (auto& [sock, ms] : by_socket) {
+          sockets.push_back(ms);
+        }
+        EXPECT_EQ(plan.my_sockets, sockets);
+        EXPECT_EQ(plan.my_node_globals, globals);
+      }
+    }
+    ++idx;
+  }
+}
+
+TEST(CollPlan, AccessorsMatchByNodeReference) {
+  for (const base::Topology topo :
+       {base::Topology{3, 4, 2}, base::Topology{4, 3, 1}}) {
+    for (testing::Shape shape : testing::all_shapes()) {
+      SCOPED_TRACE(testing::shape_name(shape) + " on " +
+                   std::to_string(topo.num_nodes) + "x" +
+                   std::to_string(topo.procs_per_node));
+      std::mt19937 rng(static_cast<unsigned>(shape) + 11);
+      const std::vector<base::Rank> members =
+          testing::member_list(shape, topo, rng);
+      sim::Cluster::Options opts =
+          testing::zero_opts(topo.num_nodes, topo.procs_per_node);
+      opts.topo.sockets_per_node = topo.sockets_per_node;
+      sim::Cluster cluster{opts};
+      cluster.run([&](sim::Process& p) {
+        init();
+        Communicator w = comm_world();
+        if (std::ranges::find(members, p.rank()) != members.end()) {
+          Communicator c = w.create_group(w.group().incl(members), 5);
+          c.barrier();
+          const auto plan = std::static_pointer_cast<const coll::Plan>(
+              detail_unwrap(c)->coll_plan);
+          ASSERT_NE(plan, nullptr);
+          expect_plan_matches(*plan, members, topo);
+          c.free();
+        }
+        finalize();
+      });
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Non-commutative reductions must fold in strict rank order on every

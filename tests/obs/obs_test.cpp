@@ -802,6 +802,43 @@ TEST(ObsPostmortem, DumpWritesManifestTracesAndSections) {
 }
 #endif  // !SESSMPI_OBS_DISABLED
 
+TEST(ObsPostmortem, OutOfOrderUnregisterKeepsRegistrationOrder) {
+  const auto body = [](int k) {
+    return [k](std::ostream& os) { os << "{\"k\":" << k << "}"; };
+  };
+  std::vector<PostmortemSection> secs;
+  secs.reserve(5);
+  for (int k = 0; k < 5; ++k) {
+    secs.emplace_back("obs_test.order" + std::to_string(k), body(k));
+  }
+  // Unregister out of order: move-assigning an empty section drops the old.
+  for (int k : {3, 0, 2}) {
+    secs[static_cast<std::size_t>(k)] = PostmortemSection();
+  }
+  PostmortemSection late("obs_test.order5", body(5));
+
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "obs_pm_order").string();
+  const std::string manifest = dump_postmortem(dir, "order_test");
+  ASSERT_FALSE(manifest.empty());
+  std::ifstream is(manifest);
+  std::stringstream slurp;
+  slurp << is.rdbuf();
+  const std::string text = slurp.str();
+  for (int gone : {0, 2, 3}) {
+    EXPECT_EQ(text.find("\"obs_test.order" + std::to_string(gone) + "\""),
+              std::string::npos);
+  }
+  std::size_t prev = 0;
+  for (int live : {1, 4, 5}) {
+    const std::size_t at =
+        text.find("\"obs_test.order" + std::to_string(live) + "\"");
+    ASSERT_NE(at, std::string::npos) << live;
+    EXPECT_GT(at, prev) << live;
+    prev = at;
+  }
+}
+
 TEST(ObsPostmortem, TriggerIsOneShotAndGatedByCvar) {
   TracerGuard guard;
   reset_postmortem_for_testing();
