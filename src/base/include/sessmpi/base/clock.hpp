@@ -21,8 +21,9 @@ inline std::int64_t now_ns() noexcept {
 
 /// Busy-wait/sleep hybrid delay. Used by the cost model to inject simulated
 /// hardware costs (wire time, NFS load, PMIx server exchange) into real time.
-/// Delays <= spin_threshold_ns are spun for accuracy; longer delays sleep
-/// most of the interval then spin the remainder.
+/// On a thread, delays <= spin_threshold_ns are spun for accuracy; longer
+/// delays sleep most of the interval then spin the remainder. A fiber parks
+/// on its worker's timer heap instead (base/wait.hpp).
 void precise_delay(std::int64_t delay_ns) noexcept;
 
 /// Spin threshold used by precise_delay (exposed for tests). Wire-scale

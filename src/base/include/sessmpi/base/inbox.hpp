@@ -3,29 +3,32 @@
 // A blocking multi-producer single-consumer inbox used as the receive queue
 // of every simulated process endpoint. Producers are other rank threads (and
 // runtime threads); the consumer is the owning rank's progress engine.
+//
+// Its WaitWord is the owning rank's one wake word (DESIGN.md §15): every
+// push notifies it, and so do the other events a blocked rank waits for —
+// on-node shm publications and releases, and failure notices.
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "sessmpi/base/clock.hpp"
-#include "sessmpi/base/yield.hpp"
+#include "sessmpi/base/wait.hpp"
 
 namespace sessmpi::base {
 
 template <typename T>
 class Inbox {
  public:
-  /// Enqueue an item and wake the consumer if it is blocked.
+  /// Enqueue an item and wake the consumer if it is parked.
   void push(T item) {
     {
       std::lock_guard lock(mu_);
       items_.push_back(std::move(item));
     }
-    cv_.notify_one();
+    word_.notify();
   }
 
   /// Non-blocking pop; returns nullopt when empty.
@@ -39,31 +42,13 @@ class Inbox {
     return item;
   }
 
-  /// Blocking pop with timeout. Returns nullopt on timeout. Under a
-  /// cooperative scheduler the wait polls with yields instead of parking
-  /// the worker thread on the condition variable.
+  /// Blocking pop with timeout. Returns nullopt on timeout.
   template <typename Rep, typename Period>
   std::optional<T> pop_wait(std::chrono::duration<Rep, Period> timeout) {
-    if (cooperative()) {
-      const std::int64_t deadline =
-          now_ns() +
-          std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
-      for (;;) {
-        if (auto item = try_pop()) {
-          return item;
-        }
-        if (now_ns() >= deadline) {
-          return std::nullopt;
-        }
-        try_yield();
-      }
-    }
-    std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty(); })) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
+    std::optional<T> item;
+    wait_until(
+        word_, [&] { return (item = try_pop()).has_value(); },
+        now_ns() + std::chrono::duration_cast<Nanos>(timeout).count());
     return item;
   }
 
@@ -72,12 +57,12 @@ class Inbox {
     return items_.size();
   }
 
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] WaitWord& word() noexcept { return word_; }
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<T> items_;
+  WaitWord word_;
 };
 
 }  // namespace sessmpi::base

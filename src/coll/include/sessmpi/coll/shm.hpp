@@ -6,7 +6,9 @@
 // writer can expose its *own* buffer and every on-node reader consumes it
 // directly — no per-edge deep copy, no bounce buffer.
 //
-// Release protocol per slot (schedule steps poll it; nothing blocks on it):
+// Release protocol per slot (schedule steps poll it; a waiting rank parks
+// on its own wake word, which the region notifies: a publish wakes the
+// other members, a release the slot's writer, a poison everyone):
 //   publish:  once readers_left == 0 (previous ordinal drained), write
 //             src/bytes plainly, store the reader count, then release-store
 //             the ordinal into seq.
@@ -36,14 +38,12 @@
 // fail fast instead of polling state a bailed writer will never set.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sessmpi/base/error.hpp"
+#include "sessmpi/base/wait.hpp"
 
 namespace sessmpi::coll {
 
@@ -64,7 +64,9 @@ class NodeShared {
   static constexpr int kChannels = 2;
   static constexpr std::uint64_t kOpStride = 256;
 
-  explicit NodeShared(int nmembers) : slots_(static_cast<std::size_t>(nmembers) * kChannels) {}
+  /// `words`: each member's wake word (its inbox word), by slot.
+  explicit NodeShared(std::vector<base::WaitWord*> words)
+      : slots_(words.size() * kChannels), words_(std::move(words)) {}
 
   [[nodiscard]] Slot& slot(int member, int channel) {
     return slots_[static_cast<std::size_t>(member) * kChannels +
@@ -77,41 +79,27 @@ class NodeShared {
     poison_.compare_exchange_strong(expected, static_cast<int>(cls),
                                     std::memory_order_release,
                                     std::memory_order_relaxed);
-    ring();
+    wake_others(-1);
   }
   [[nodiscard]] ErrClass poisoned() const noexcept {
     return static_cast<ErrClass>(poison_.load(std::memory_order_acquire));
   }
 
-  /// Doorbell: rung after every publish, reader release and poison, so a
-  /// blocking waiter on an oversubscribed host can sleep (park()) instead
-  /// of spinning against the threads it waits for. Sample bell() before
-  /// checking slot state; a ring after the sample cuts the sleep short.
-  [[nodiscard]] std::uint32_t bell() const noexcept { return bell_.load(); }
-  void ring() {
-    // seq_cst pairs with park(): either the sleeper sees the new bell, or
-    // this sees the sleeper and notifies under the mutex it waits with.
-    bell_.fetch_add(1);
-    if (sleepers_.load() > 0) {
-      std::lock_guard lock(mu_);
-      cv_.notify_all();
+  /// Wake the member in slot `member` (after releasing its publication).
+  void wake(int member) { words_[static_cast<std::size_t>(member)]->notify(); }
+  /// Wake every member but `self` (after a publish; -1: everyone).
+  void wake_others(int self) {
+    for (std::size_t m = 0; m < words_.size(); ++m) {
+      if (static_cast<int>(m) != self) {
+        words_[m]->notify();
+      }
     }
-  }
-  /// Sleep until the bell rings past `seen`, for at most `timeout`.
-  void park(std::uint32_t seen, std::chrono::microseconds timeout) {
-    std::unique_lock lock(mu_);
-    sleepers_.fetch_add(1);
-    cv_.wait_for(lock, timeout, [&] { return bell_.load() != seen; });
-    sleepers_.fetch_sub(1);
   }
 
  private:
   std::vector<Slot> slots_;
+  std::vector<base::WaitWord*> words_;
   std::atomic<int> poison_{0};  ///< 0 (= ErrClass::success) while healthy
-  std::atomic<std::uint32_t> bell_{0};
-  std::atomic<int> sleepers_{0};
-  std::mutex mu_;  ///< orders park() against ring()'s notify
-  std::condition_variable cv_;
 };
 
 }  // namespace sessmpi::coll

@@ -78,8 +78,9 @@ struct RegionRegistry {
 /// lives in the cluster's opaque coll_arena slot and holds only weak
 /// references: regions die with the last attached plan, like real shm
 /// segments unmapped by their final process.
-std::shared_ptr<NodeShared> attach_region(sim::Cluster& cluster,
-                                          const RegionKey& key, int nmembers) {
+std::shared_ptr<NodeShared> attach_region(
+    sim::Cluster& cluster, const RegionKey& key,
+    const std::vector<base::WaitWord*>& words) {
   std::lock_guard lock(cluster.coll_arena_mu);
   if (!cluster.coll_arena) {
     cluster.coll_arena = std::make_shared<RegionRegistry>();
@@ -97,7 +98,7 @@ std::shared_ptr<NodeShared> attach_region(sim::Cluster& cluster,
   if (auto live = wk.lock()) {
     return live;
   }
-  auto fresh = std::make_shared<NodeShared>(nmembers);
+  auto fresh = std::make_shared<NodeShared>(words);
   wk = fresh;
   return fresh;
 }
@@ -148,7 +149,11 @@ std::shared_ptr<Plan> build(detail::ProcState& ps, const detail::CommState& s,
     } else {
       key.cid = s.cid;
     }
-    plan->region = attach_region(ps.proc.cluster(), key, plan->on_node);
+    std::vector<base::WaitWord*> words;  // by slot, as my_node_globals
+    for (base::Rank g : plan->my_node_globals) {
+      words.push_back(&ps.proc.cluster().fabric().endpoint(g).inbox().word());
+    }
+    plan->region = attach_region(ps.proc.cluster(), key, words);
   }
 
   static const auto c_builds = base::counter("coll.plan_builds");

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "sessmpi/base/stats.hpp"
-#include "sessmpi/base/yield.hpp"
 
 namespace sessmpi::coll {
 
@@ -91,14 +90,6 @@ void Sched::next() {
 
 namespace {
 
-/// A rank whose part only sends never waits, so it never progresses:
-/// dispatch what arrived first, or it would miss a revocation forever.
-void drain_arrivals(detail::ProcState& ps) {
-  if (!ps.proc.endpoint().inbox().empty()) {
-    ps.progress_pass(false);
-  }
-}
-
 /// Leaves a slot's reader window on every exit, a throwing user op included.
 struct Leave {
   std::atomic<std::uint32_t>& inside;
@@ -109,31 +100,12 @@ struct Leave {
 
 void Sched::run() {
   next();
-  drain_arrivals(ps_);
-  NodeShared* region = plan_->region.get();
-  for (std::uint64_t i = 1;; ++i) {
-    const std::uint32_t bell = region != nullptr ? region->bell() : 0;
-    if (poll()) {
-      break;
-    }
-    if (wire_) {
-      // Park in the inbox only when no shm step is pending: no arrival
-      // would signal a slot.
-      ps_.progress_pass(/*block=*/!shm_);
-    } else if ((i & 1023u) == 0) {
-      ps_.progress_pass(false);  // keep floods and notices flowing
-    }
-    parked_ = shm_ && !wire_ && i > 64 && !base::cooperative();
-    if (parked_) {
-      // A long shm-only wait sleeps on the doorbell rather than spin
-      // against the threads it waits for. Each wake checks liveness;
-      // arrivals keep the 1024-pass cadence, so a peer's death is still
-      // seen before a revocation that follows it.
-      region->park(bell, std::chrono::milliseconds(1));
-    } else if (shm_) {
-      base::try_yield();  // fibers hand the worker back
-    }
-  }
+  // A rank whose part only sends never waits, so it never progresses:
+  // dispatch what arrived first, or it would miss a revocation forever.
+  ps_.progress_pass();
+  // Arrivals, publications and releases for this rank, and failure notices
+  // all move its word, which progress_until parks on between polls.
+  ps_.progress_until([this] { return poll(); }, &shm_);
   if (error_) {
     std::rethrow_exception(error_);
   }
@@ -144,7 +116,6 @@ void Sched::run() {
 
 bool Sched::advance(detail::RequestImpl& req) {
   const bool finished = poll();
-  shm_wait = shm_;
   if (finished) {
     Status st;
     st.error = err_;
@@ -163,7 +134,7 @@ void Sched::fail(detail::RequestImpl& req, ErrClass cls) {
 detail::RequestPtr Sched::launch(std::unique_ptr<Sched> sc) {
   sc->next();
   detail::ProcState& ps = sc->ps_;
-  drain_arrivals(ps);
+  ps.progress_pass();  // as in run()
   detail::RequestPtr req = ps.make_request();
   req->ps = &ps;
   req->comm = sc->s_.get();
@@ -185,7 +156,7 @@ bool Sched::poll() {
           start(steps_[i]);
         }
       }
-      wire_ = shm_ = false;
+      shm_ = false;
       bool all = true;
       for (std::size_t i = begin_; i < end; ++i) {
         Step& st = steps_[i];
@@ -193,9 +164,7 @@ bool Sched::poll() {
         all = all && st.done;
       }
       if (!all) {
-        if (!shm_ || parked_ || (++polls_ & 63u) == 0) {
-          liveness();
-        }
+        liveness();
         return false;
       }
       begin_ = end;
@@ -208,7 +177,7 @@ bool Sched::poll() {
     error_ = std::current_exception();  // e.g. thrown by a user op
     abort(ErrClass::intern);
   }
-  wire_ = shm_ = false;
+  shm_ = false;
   return true;
 }
 
@@ -266,7 +235,6 @@ bool Sched::complete(Step& st) {
     case Kind::send:
     case Kind::recv: {
       if (!st.req->done()) {
-        wire_ = true;
         return false;
       }
       // The one poison predicate: an error, or a size other than expected.
@@ -290,7 +258,7 @@ bool Sched::complete(Step& st) {
       sl.bytes = st.bytes;
       sl.readers_left.store(st.readers, std::memory_order_relaxed);
       sl.seq.store(st.ord, std::memory_order_release);
-      p.region->ring();
+      p.region->wake_others(p.my_slot);
       static const auto c_pub = base::counter("coll.shm_publishes");
       c_pub.add();
       return true;
@@ -324,7 +292,7 @@ bool Sched::complete(Step& st) {
         c_reads.add();
         c_bytes.add(sl.bytes);
         sl.readers_left.fetch_sub(1, std::memory_order_release);
-        p.region->ring();
+        p.region->wake(p.slot_of(st.peer));
       }
       return true;
     }
@@ -354,17 +322,8 @@ void Sched::liveness() {
       throw Error(ErrClass::rte_proc_failed, "on-node peer failed");
     }
   }
-  // A peer may send and then die: judge pending edges only once everything
-  // it sent before dying has been dispatched.
-  if (ps_.proc.endpoint().inbox().empty()) {
-    for (std::size_t i = begin_; i < ends_[round_]; ++i) {
-      const Step& st = steps_[i];
-      if (!st.done && st.req && cl.fabric().is_failed(s_->global_of(st.peer))) {
-        bad_ = st.peer;
-        throw Error(ErrClass::rte_proc_failed, "collective peer failed");
-      }
-    }
-  }
+  // A pending edge to a dead peer fails through the progress engine's
+  // sweep, once everything the peer sent before dying was dispatched.
   std::lock_guard lock(ps_.mu);
   if (s_->revoked) {
     throw Error(ErrClass::comm_revoked, "communicator revoked");

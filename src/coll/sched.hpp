@@ -109,10 +109,7 @@ class Sched final : public detail::NbcOp {
   std::size_t round_ = 0;
   std::size_t begin_ = 0;  ///< first step of the current round
   bool started_ = false;
-  bool wire_ = false;  ///< the current round waits on a wire step
   bool shm_ = false;   ///< the current round waits on a shm step
-  bool parked_ = false;  ///< run() slept on the doorbell since the last poll
-  std::uint64_t polls_ = 0;
   int bad_ = -1;  ///< peer whose edge delivered the abort
   ErrClass err_ = ErrClass::success;
   std::exception_ptr error_;  ///< a user op's exception, rethrown by run()

@@ -237,7 +237,7 @@ Status Communicator::probe(int src, int tag) const {
 bool Communicator::iprobe(int src, int tag, Status* status) const {
   const auto& s = checked(state_);
   ProcState& ps = *s->ps;
-  ps.progress_pass(/*block=*/false);
+  ps.progress_pass();
   std::lock_guard lock(ps.mu);
   const fabric::Packet* pkt = s->unexpected.peek_match(src, tag);
   if (pkt == nullptr) {

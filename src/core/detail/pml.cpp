@@ -589,51 +589,48 @@ void wait_for_arrival(const fabric::Packet& pkt) {
 
 }  // namespace
 
-void ProcState::progress_pass(bool block) {
+bool ProcState::progress_pass(bool sweep) {
+  bool busy = false;
   {
     // One drainer at a time, so a flow's packets dispatch in inbox order
     // even when several threads progress this process.
     std::unique_lock drain(drain_mu, std::try_to_lock);
-    // Park only when an arrival is what we wait for: not while another
-    // thread drains, nor while a schedule polls shm state.
-    bool park = block && drain.owns_lock() && !nbc_shm_wait;
-    bool idle = block;
-    if (block && !park) {
-      base::try_yield();
-    }
     while (drain.owns_lock()) {
-      // Arrivals wake the pop immediately (notify-driven); the timeout only
-      // bounds abort/failure-detection latency, so keep it long enough that
-      // idle waiters do not generate wake-up storms at high rank counts.
-      auto pkt = park ? proc.endpoint().inbox().pop_wait(
-                            std::chrono::milliseconds(5))
-                      : proc.endpoint().inbox().try_pop();
+      auto pkt = proc.endpoint().inbox().try_pop();
       if (!pkt) {
-        if (idle) {
-          // Idle: check whether anything we wait for is pinned on a dead peer.
+        // Drained, after a failure notice: anything still pinned on a dead
+        // peer never completes.
+        const std::uint64_t failures = proc.cluster().fabric().failures();
+        sweep = sweep || failures != swept_failures;
+        if (sweep) {
+          swept_failures = failures;
           std::lock_guard lock(mu);
           sweep_failed_peers_locked();
         }
         break;
       }
-      park = idle = false;
+      busy = true;
       wait_for_arrival(*pkt);
       std::lock_guard lock(mu);
       dispatch(std::move(*pkt));
     }
   }
-  std::lock_guard lock(mu);
-  advance_nbc_locked();
+  {
+    std::lock_guard lock(mu);
+    busy = advance_nbc_locked() || busy;
+  }
+  if (busy || sweep) {
+    // Another thread of this rank, or our own caller, may wait on what
+    // this pass completed.
+    proc.endpoint().inbox().word().notify();
+  }
+  return busy;
 }
 
-void ProcState::advance_nbc_locked() {
-  bool shm = false;
-  std::erase_if(nbc_live, [&](const RequestPtr& req) {
-    const bool finished = req->nbc->advance(*req);
-    shm = shm || (!finished && req->nbc->shm_wait);
-    return finished;
-  });
-  nbc_shm_wait.store(shm, std::memory_order_relaxed);
+bool ProcState::advance_nbc_locked() {
+  return std::erase_if(nbc_live, [](const RequestPtr& req) {
+           return req->nbc->advance(*req);
+         }) > 0;
 }
 
 void ProcState::sweep_failed_peers_locked() {
@@ -681,9 +678,12 @@ void ProcState::sweep_failed_peers_locked() {
   }
 }
 
-void ProcState::progress_until(const std::function<bool()>& done) {
-  fabric::Fabric& fab = proc.cluster().fabric();
+void ProcState::progress_until(const std::function<bool()>& done,
+                               const bool* shm_wait) {
+  base::WaitWord& word = proc.endpoint().inbox().word();
+  bool timed_out = false;
   for (;;) {
+    const std::uint32_t seen = word.epoch();
     if (done()) {
       return;
     }
@@ -697,11 +697,23 @@ void ProcState::progress_until(const std::function<bool()>& done) {
     // it), so without this check the victim would wait forever and hang the
     // join. Throwing lets the rank body observe Process::failed() and stop
     // issuing MPI calls — the cooperative-death contract of the chaos layer.
-    if (fab.is_failed(proc.rank())) {
+    if (proc.cluster().fabric().is_failed(proc.rank())) {
       throw Error(ErrClass::rte_proc_failed,
                   "this process was marked failed while blocked");
     }
-    progress_pass(/*block=*/true);
+    // A pass sweeps for operations pinned on dead peers after a failure
+    // notice; after a quiet park it sweeps anyway, in case one was posted
+    // to a peer already dead.
+    if (progress_pass(/*sweep=*/timed_out)) {
+      timed_out = false;
+      continue;
+    }
+    // Every arrival, shm publication or failure notice for this rank moves
+    // the word; the cap only bounds how late a failure is seen.
+    const std::int64_t cap =
+        shm_wait != nullptr && *shm_wait ? 1'000'000 : 5'000'000;
+    timed_out = !base::wait_until(
+        word, [&] { return word.epoch() != seen; }, base::now_ns() + cap);
   }
 }
 
@@ -861,46 +873,48 @@ RequestPtr ProcState::irecv_impl(const std::shared_ptr<CommState>& comm,
   return req;
 }
 
+namespace {
+
+/// Wait out a blocking pt2pt call's request. A failure or revocation
+/// surfaces as an Error even on internal (collective) tags, so a dead rank
+/// cannot hang survivors inside a collective.
+Status block_on(ProcState& ps, const RequestPtr& req, int tag,
+                std::int64_t t0, bool recv) {
+  ps.progress_until([&] { return req->done(); });
+  if (tag >= 0) {
+    // User-tag traffic only: the internal tag bands (collectives, ft,
+    // ckpt) would swamp the pt2pt latency distributions.
+    static obs::Histogram& recv_hist = obs::histogram("pt2pt.recv_ns");
+    static obs::Histogram& send_hist = obs::histogram("pt2pt.send_ns");
+    (recv ? recv_hist : send_hist)
+        .record(static_cast<std::uint64_t>(base::now_ns() - t0));
+  }
+  const ErrClass e = req->status.error;
+  if (e == ErrClass::rte_proc_failed || e == ErrClass::comm_revoked) {
+    throw Error(e, std::string(e == ErrClass::rte_proc_failed
+                                   ? "peer process failed during "
+                                   : "communicator revoked during ") +
+                       (recv ? "receive" : "send"));
+  }
+  return req->status;
+}
+
+}  // namespace
+
 Status ProcState::blocking_recv(const std::shared_ptr<CommState>& comm,
                                 void* buf, int count, const Datatype& dt,
                                 int src, int tag) {
   const std::int64_t t0 = base::now_ns();
-  RequestPtr req = irecv_impl(comm, buf, count, dt, src, tag);
-  progress_until([&] { return req->done(); });
-  if (tag >= 0) {
-    // User-tag traffic only: the internal tag bands (collectives, ft,
-    // ckpt) would swamp the pt2pt latency distribution.
-    static obs::Histogram& hist = obs::histogram("pt2pt.recv_ns");
-    hist.record(static_cast<std::uint64_t>(base::now_ns() - t0));
-  }
-  if (req->status.error == ErrClass::rte_proc_failed) {
-    // Failure must surface even on internal (collective) receives so a dead
-    // rank cannot hang survivors inside a collective.
-    throw Error(ErrClass::rte_proc_failed,
-                "peer process failed during receive");
-  }
-  if (req->status.error == ErrClass::comm_revoked) {
-    throw Error(ErrClass::comm_revoked, "communicator revoked during receive");
-  }
-  return req->status;
+  return block_on(*this, irecv_impl(comm, buf, count, dt, src, tag), tag, t0,
+                  /*recv=*/true);
 }
 
 void ProcState::blocking_send(const std::shared_ptr<CommState>& comm,
                               const void* buf, int count, const Datatype& dt,
                               int dst, int tag, bool sync) {
   const std::int64_t t0 = base::now_ns();
-  RequestPtr req = isend_impl(comm, buf, count, dt, dst, tag, sync);
-  progress_until([&] { return req->done(); });
-  if (tag >= 0) {
-    static obs::Histogram& hist = obs::histogram("pt2pt.send_ns");
-    hist.record(static_cast<std::uint64_t>(base::now_ns() - t0));
-  }
-  if (req->status.error == ErrClass::rte_proc_failed) {
-    throw Error(ErrClass::rte_proc_failed, "peer process failed during send");
-  }
-  if (req->status.error == ErrClass::comm_revoked) {
-    throw Error(ErrClass::comm_revoked, "communicator revoked during send");
-  }
+  block_on(*this, isend_impl(comm, buf, count, dt, dst, tag, sync), tag, t0,
+           /*recv=*/false);
 }
 
 }  // namespace sessmpi::detail

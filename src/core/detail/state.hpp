@@ -85,8 +85,6 @@ using RequestPtr = std::shared_ptr<RequestImpl>;
 /// (src/coll). Both calls run with mu held. advance() returns true once it
 /// finished the request; fail() aborts the schedule with `cls`, retiring
 /// the receives it posted, and finishes the request (the revoke scrub).
-/// shm_wait is set while the schedule waits on on-node shared state, which
-/// no inbox arrival signals.
 struct NbcOp {
   NbcOp() = default;
   NbcOp(const NbcOp&) = delete;
@@ -94,7 +92,6 @@ struct NbcOp {
   virtual ~NbcOp() = default;
   virtual bool advance(RequestImpl& req) = 0;
   virtual void fail(RequestImpl& req, ErrClass cls) = 0;
-  bool shm_wait = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -386,8 +383,8 @@ struct ProcState {
   std::map<std::pair<base::Rank, std::uint64_t>, RequestPtr> recv_tokens;
   std::uint64_t next_token = 1;
   std::vector<RequestPtr> nbc_live;
-  std::atomic<bool> nbc_shm_wait{false};  ///< some live NbcOp::shm_wait
   std::mutex drain_mu;  ///< held by the one thread draining the inbox
+  std::uint64_t swept_failures = 0;  ///< Fabric::failures() at the last sweep
   std::shared_ptr<RequestPool> req_pool = std::make_shared<RequestPool>();
 
   /// Pool-backed replacement for make_shared<RequestImpl>().
@@ -436,14 +433,19 @@ struct ProcState {
   void release_instance();
 
   // --- progress engine -------------------------------------------------------
-  /// One pass: drain the inbox (optionally blocking briefly) and advance
-  /// nonblocking collectives. Idle passes also sweep for operations pinned
-  /// on failed peers and complete them with rte_proc_failed (§II-C: a
-  /// failure must not hang survivors).
-  void progress_pass(bool block);
-  /// Drive progress until `done()` returns true; aborts with
-  /// Error(proc_aborted) if the cluster run is aborting.
-  void progress_until(const std::function<bool()>& done);
+  /// One pass: drain the inbox and advance nonblocking collectives. With
+  /// `sweep`, or after a failure notice, a pass that drained the inbox also
+  /// completes operations pinned on failed peers with rte_proc_failed
+  /// (§II-C: a failure must not hang survivors). Returns true if it dispatched a packet or finished a
+  /// nonblocking collective; such a pass, and a sweep, notify the rank's
+  /// word (the inbox word) so every waiter of the rank re-checks.
+  bool progress_pass(bool sweep = false);
+  /// Drive progress until `done()` returns true, parked on the rank's word
+  /// between passes for at most 5 ms, or 1 ms while `*shm_wait` (the
+  /// caller waits on shm state); aborts with Error(proc_aborted) if the
+  /// cluster run is aborting.
+  void progress_until(const std::function<bool()>& done,
+                      const bool* shm_wait = nullptr);
   void dispatch(fabric::Packet&& pkt);
 
   // --- pt2pt primitives (comm ranks; callers hold no lock) -----------------
@@ -477,8 +479,9 @@ struct ProcState {
 
   std::uint64_t new_token_locked() { return next_token++; }
 
-  /// Advance all live nonblocking collectives (mu held by caller).
-  void advance_nbc_locked();
+  /// Advance all live nonblocking collectives (mu held by caller). Returns
+  /// true if one finished.
+  bool advance_nbc_locked();
 
   /// Revoke `comm` (mu held): mark it, complete every pending non-FT
   /// operation with comm_revoked, and — when `flood` — reliably broadcast

@@ -1,5 +1,7 @@
 #include "sessmpi/request.hpp"
 
+#include <algorithm>
+
 #include "detail/state.hpp"
 
 namespace sessmpi {
@@ -19,7 +21,7 @@ bool Request::test() {
     return true;
   }
   if (!impl_->done()) {
-    impl_->ps->progress_pass(/*block=*/false);
+    impl_->ps->progress_pass();
   }
   if (impl_->done()) {
     impl_.reset();
@@ -33,25 +35,16 @@ bool Request::completed() const noexcept {
 }
 
 std::vector<Status> Request::wait_all(std::vector<Request>& reqs) {
-  std::vector<Status> out;
-  out.reserve(reqs.size());
-  detail::ProcState* ps = nullptr;
-  for (auto& r : reqs) {
-    if (r.impl_) {
-      ps = r.impl_->ps;
-      break;
-    }
-  }
-  if (ps != nullptr) {
-    ps->progress_until([&] {
-      for (const auto& r : reqs) {
-        if (r.impl_ && !r.impl_->done()) {
-          return false;
-        }
-      }
-      return true;
+  const auto live = std::find_if(reqs.begin(), reqs.end(),
+                                 [](const Request& r) { return r.impl_; });
+  if (live != reqs.end()) {
+    live->impl_->ps->progress_until([&] {
+      return std::all_of(reqs.begin(), reqs.end(),
+                         [](const Request& r) { return r.completed(); });
     });
   }
+  std::vector<Status> out;
+  out.reserve(reqs.size());
   for (auto& r : reqs) {
     out.push_back(r.impl_ ? r.impl_->status : Status{});
     r.impl_.reset();
@@ -60,48 +53,35 @@ std::vector<Status> Request::wait_all(std::vector<Request>& reqs) {
 }
 
 int Request::wait_any(std::vector<Request>& reqs, Status* status) {
-  detail::ProcState* ps = nullptr;
-  bool any_live = false;
-  for (auto& r : reqs) {
-    if (r.impl_) {
-      ps = r.impl_->ps;
-      any_live = true;
-      break;
-    }
-  }
-  if (!any_live) {
+  const auto live = std::find_if(reqs.begin(), reqs.end(),
+                                 [](const Request& r) { return r.impl_; });
+  if (live == reqs.end()) {
     return -1;
   }
-  int done_ix = -1;
-  ps->progress_until([&] {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i].impl_ && reqs[i].impl_->done()) {
-        done_ix = static_cast<int>(i);
-        return true;
-      }
-    }
-    return false;
+  auto done = reqs.end();
+  live->impl_->ps->progress_until([&] {
+    done = std::find_if(reqs.begin(), reqs.end(), [](const Request& r) {
+      return r.impl_ && r.impl_->done();
+    });
+    return done != reqs.end();
   });
   if (status != nullptr) {
-    *status = reqs[static_cast<std::size_t>(done_ix)].impl_->status;
+    *status = done->impl_->status;
   }
-  reqs[static_cast<std::size_t>(done_ix)].impl_.reset();
-  return done_ix;
+  done->impl_.reset();
+  return static_cast<int>(done - reqs.begin());
 }
 
 bool Request::test_all(std::vector<Request>& reqs) {
-  detail::ProcState* ps = nullptr;
-  for (auto& r : reqs) {
-    if (r.impl_ && !r.impl_->done()) {
-      ps = r.impl_->ps;
-      break;
-    }
-  }
-  if (ps != nullptr) {
-    ps->progress_pass(/*block=*/false);
-  }
-  for (const auto& r : reqs) {
-    if (r.impl_ && !r.impl_->done()) {
+  const auto all_done = [&] {
+    return std::all_of(reqs.begin(), reqs.end(),
+                       [](const Request& r) { return r.completed(); });
+  };
+  if (!all_done()) {
+    std::find_if(reqs.begin(), reqs.end(), [](const Request& r) {
+      return !r.completed();
+    })->impl_->ps->progress_pass();
+    if (!all_done()) {
       return false;
     }
   }

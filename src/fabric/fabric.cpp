@@ -9,7 +9,7 @@
 #include "sessmpi/base/buffer_pool.hpp"
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
-#include "sessmpi/base/yield.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/obs/hist.hpp"
 #include "sessmpi/obs/postmortem.hpp"
 #include "sessmpi/obs/trace.hpp"
@@ -184,6 +184,9 @@ Fabric::~Fabric() {
     std::erase(reg.live, this);
   }
   stop_.store(true, std::memory_order_release);
+  for (Flow* f : active_flows()) {
+    f->word.notify();  // teardown overrides every window wait
+  }
   if (pump_.joinable()) {
     pump_.join();
   }
@@ -330,44 +333,41 @@ void Fabric::send(Packet&& packet) {
 }
 
 bool Fabric::window_packet(Flow& f, Packet& packet, std::int64_t rto_ns) {
-  for (;;) {
-    {
-      std::lock_guard lock(f.mu);
-      // Teardown overrides the window: with the pump stopping there may be
-      // nobody left to flush the ACKs that would open it.
-      if (f.cc.can_send(f.window.size()) ||
-          stop_.load(std::memory_order_relaxed)) {
-        packet.flow.seq = f.next_seq++;
-        packet.flow.rail = f.rail;
-        Flow::Unacked& entry = f.window[packet.flow.seq];
-        entry.pkt = packet;  // retained for retransmission; the refcounted
-                             // Payload makes this a header-only copy
-        entry.rto_ns = rto_ns;
-        entry.retries = 0;
-        // Parked until the caller's transmit returns: the RTO clock must
-        // start when the packet actually left the wire, not when it was
-        // windowed — on an oversubscribed host the sending thread can be
-        // descheduled mid-spin for longer than the whole RTO.
-        entry.deadline.arm_never();
-        // New data in flight opens a fresh silence episode for the
-        // tail-loss probe timer.
-        f.last_progress_ns = base::now_ns();
-        f.tlp_fired = false;
-        return true;
-      }
+  // Acks open the window and notify f.word, and so do the destination's
+  // death and teardown.
+  bool windowed = false;
+  base::wait_until(f.word, [&] {
+    std::lock_guard lock(f.mu);
+    // Teardown overrides the window: with the pump stopping there may be
+    // nobody left to flush the ACKs that would open it.
+    if (!f.cc.can_send(f.window.size()) &&
+        !stop_.load(std::memory_order_relaxed)) {
+      return is_failed(f.dst);
     }
-    if (is_failed(f.dst)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      bytes_dropped_.fetch_add(packet.header_bytes() + packet.payload.size(),
-                               std::memory_order_relaxed);
-      return false;
-    }
-    if (base::cooperative()) {
-      base::try_yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
+    packet.flow.seq = f.next_seq++;
+    packet.flow.rail = f.rail;
+    Flow::Unacked& entry = f.window[packet.flow.seq];
+    entry.pkt = packet;  // retained for retransmission; the refcounted
+                         // Payload makes this a header-only copy
+    entry.rto_ns = rto_ns;
+    entry.retries = 0;
+    // Parked until the caller's transmit returns: the RTO clock must start
+    // when the packet actually left the wire, not when it was windowed — on
+    // an oversubscribed host the sending thread can be descheduled mid-spin
+    // for longer than the whole RTO.
+    entry.deadline.arm_never();
+    // New data in flight opens a fresh silence episode for the tail-loss
+    // probe timer.
+    f.last_progress_ns = base::now_ns();
+    f.tlp_fired = false;
+    return windowed = true;
+  });
+  if (!windowed) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    bytes_dropped_.fetch_add(packet.header_bytes() + packet.payload.size(),
+                             std::memory_order_relaxed);
   }
+  return windowed;
 }
 
 void Fabric::send_striped(Packet&& packet) {
@@ -546,6 +546,7 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
     f.cc.on_acked(newly_acked, cum);
     f.last_progress_ns = base::now_ns();
     f.tlp_fired = false;
+    f.word.notify();  // the window opened
   }
   if (ece && is_explicit) {
     const std::uint64_t before = f.cc.cwnd_packets();
@@ -818,6 +819,7 @@ bool Fabric::pump_pass() {
         f.window.clear();
         f.reorder.clear();
         f.ack_pending = false;
+        f.word.notify();  // a dead sender's window wait ends too
         continue;
       }
       bool rto_fired = false;
@@ -952,37 +954,30 @@ bool Fabric::pump_pass() {
 void Fabric::pump_main() {
   while (!stop_.load(std::memory_order_acquire)) {
     pump_pass();
+    pumped_.notify();
     std::this_thread::sleep_for(std::chrono::nanoseconds(rel_.tick_ns));
   }
 }
 
 bool Fabric::quiesce(std::chrono::nanoseconds timeout) {
-  const std::int64_t deadline = base::now_ns() + timeout.count();
-  for (;;) {
-    bool busy;
-    {
-      std::lock_guard lock(held_mu_);
-      busy = !held_.empty();
-    }
-    if (!busy) {
-      const std::vector<Flow*> flows = active_flows();
-      busy = std::any_of(flows.begin(), flows.end(), [](const Flow* f) {
-        std::lock_guard lock(f->mu);
-        return !f->window.empty() || !f->reorder.empty() || f->ack_pending;
-      });
-    }
-    if (!busy) {
-      return true;
-    }
-    if (base::now_ns() >= deadline) {
-      return false;
-    }
-    if (base::cooperative()) {
-      base::try_yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(rel_.tick_ns));
-    }
-  }
+  // Re-checked after every pump pass, which flushes the acks and held
+  // packets this waits out.
+  return base::wait_until(
+      pumped_,
+      [this] {
+        {
+          std::lock_guard lock(held_mu_);
+          if (!held_.empty()) {
+            return false;
+          }
+        }
+        const std::vector<Flow*> flows = active_flows();
+        return std::none_of(flows.begin(), flows.end(), [](const Flow* f) {
+          std::lock_guard lock(f->mu);
+          return !f->window.empty() || !f->reorder.empty() || f->ack_pending;
+        });
+      },
+      base::now_ns() + timeout.count());
 }
 
 std::uint64_t Fabric::unacked() const {
@@ -999,9 +994,21 @@ std::uint64_t Fabric::unacked() const {
 // ---------------------------------------------------------------------------
 
 void Fabric::mark_failed(Rank r) {
-  if (topo_.valid_rank(r)) {
-    failed_[static_cast<std::size_t>(r)].fetch_or(kFailed,
-                                                  std::memory_order_release);
+  if (!topo_.valid_rank(r) ||
+      (failed_[static_cast<std::size_t>(r)].fetch_or(
+           kFailed, std::memory_order_release) &
+       kFailed) != 0) {
+    return;
+  }
+  failures_.fetch_add(1, std::memory_order_release);
+  // The failure notice wakes whoever may wait on the dead rank: senders
+  // blocked on a window (all are re-checked) and every rank (its progress
+  // sweep and schedule liveness checks), the victim itself included.
+  for (Flow* f : active_flows()) {
+    f->word.notify();
+  }
+  for (const auto& ep : endpoints_) {
+    ep->inbox_.word().notify();
   }
 }
 

@@ -136,9 +136,14 @@ class Fabric {
     return rel_;
   }
 
-  /// Failure injection: mark `r` unreachable.
+  /// Failure injection: mark `r` unreachable. Notifies every endpoint's
+  /// word and the window waits on `r`.
   void mark_failed(Rank r);
   [[nodiscard]] bool is_failed(Rank r) const;
+  /// Number of ranks marked failed so far.
+  [[nodiscard]] std::uint64_t failures() const noexcept {
+    return failures_.load(std::memory_order_acquire);
+  }
 
   /// Called (off the sender threads, from the pump) when retry exhaustion
   /// escalates a destination to unreachable — before mark_failed(r), so
@@ -249,6 +254,7 @@ class Fabric {
     const Rank dst;
     const std::uint8_t rail;  ///< rail id; non-zero only for striped traffic
     mutable std::mutex mu;
+    base::WaitWord word;  ///< window room: acks, dst death, teardown
     // --- tx (packets src -> dst) ---
     std::uint64_t next_seq = 1;
     CcState cc;  ///< congestion window state machine (DESIGN.md §17)
@@ -328,7 +334,7 @@ class Fabric {
   void apply_ack(Rank src, Rank dst, std::uint8_t rail, std::uint64_t cum,
                  const std::vector<std::uint64_t>& sack, bool ece,
                  bool is_explicit);
-  /// Block (cooperatively) until flow `f` has congestion window room, then
+  /// Park until flow `f` has congestion window room, then
   /// assign the next seq and window the packet. Returns false when the
   /// destination died while waiting (the packet is charged and dropped).
   bool window_packet(Flow& f, Packet& packet, std::int64_t rto_ns);
@@ -371,6 +377,7 @@ class Fabric {
   static constexpr std::uint8_t kFailed = 1;
   static constexpr std::uint8_t kEscalating = 2;
   std::vector<std::atomic<std::uint8_t>> failed_;
+  std::atomic<std::uint64_t> failures_{0};
   FilterSlot drop_filter_;
   FilterSlot reorder_filter_;
   FilterSlot ce_marker_;
@@ -397,6 +404,7 @@ class Fabric {
   std::atomic<std::uint64_t> ecn_marks_{0};
   std::array<std::atomic<std::uint64_t>, kMaxRails> rail_striped_bytes_{};
   std::atomic<std::uint64_t> pump_passes_{0};  ///< completed pump passes
+  base::WaitWord pumped_;  ///< notified after every pump pass (quiesce)
 
   std::atomic<bool> stop_{false};
   std::thread pump_;

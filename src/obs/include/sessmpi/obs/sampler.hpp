@@ -8,13 +8,14 @@
 // no thread exists and nothing is allocated.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "sessmpi/base/wait.hpp"
 
 namespace sessmpi::obs {
 
@@ -65,8 +66,7 @@ class MetricsSampler {
   void run();
 
   std::mutex ctl_mu_;  ///< guards thread start/stop transitions
-  std::mutex cv_mu_;   ///< paired with cv_ for the tick wait
-  std::condition_variable cv_;
+  base::WaitWord wake_;  ///< notified on every period change
   std::thread thread_;
   bool running_ = false;  ///< under ctl_mu_
   std::atomic<int> period_ms_{0};

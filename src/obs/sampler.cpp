@@ -31,19 +31,15 @@ void MetricsSampler::set_period_ms(int ms) {
       running_ = false;
     }
   }
-  cv_.notify_all();
+  wake_.notify();
   if (to_join.joinable()) to_join.join();
 }
 
 void MetricsSampler::run() {
   while (true) {
-    {
-      std::unique_lock lk(cv_mu_);
-      const int ms = std::max(1, period_ms());
-      cv_.wait_for(lk, std::chrono::milliseconds(ms), [this] {
-        return stop_.load(std::memory_order_relaxed);
-      });
-    }
+    base::wait_until(
+        wake_, [this] { return stop_.load(std::memory_order_relaxed); },
+        base::now_ns() + std::int64_t{std::max(1, period_ms())} * 1'000'000);
     if (stop_.load(std::memory_order_relaxed)) return;
     sample_now();
   }

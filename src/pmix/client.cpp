@@ -1,11 +1,9 @@
 #include "sessmpi/pmix/client.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
-#include "sessmpi/base/yield.hpp"
 #include "sessmpi/obs/hist.hpp"
 #include "sessmpi/obs/trace.hpp"
 #include "sessmpi/obs/tvar.hpp"
@@ -104,8 +102,8 @@ base::Result<Value> PmixClient::peer_info(ProcId proc, const std::string& key,
     }
   }
 
-  // Miss: one dmodex fetch. Delays are charged outside modex_mu_ so a
-  // cooperative yield never parks the cache lock.
+  // Miss: one dmodex fetch. Delays and the wait run outside modex_mu_, so
+  // no park holds the cache lock.
   OBS_SPAN("pmix.modex.lazy_fetch", "pmix");
   lazy_fetches.add();
   runtime_.server_of(self_).rpc_delay();
@@ -114,34 +112,22 @@ base::Result<Value> PmixClient::peer_info(ProcId proc, const std::string& key,
   }
   base::precise_delay(runtime_.cost().modex_per_peer_ns);
 
-  const std::int64_t deadline =
-      base::now_ns() +
-      std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
-  for (;;) {
-    auto v = runtime_.datastore().get_immediate(proc, key);
-    if (v) {
-      std::lock_guard lock(modex_mu_);
-      peer_cache_[proc][key] = *v;
-      return *v;
-    }
-    // Checked after the lookup so a fetch racing the failure notice keeps
-    // any value it found (sends to it are then simply dropped, as before
-    // lazy modex); a dead peer whose blobs were never found — or were
-    // already purged by the notice — resolves to proc_failed.
-    if (runtime_.is_failed(proc)) {
-      std::lock_guard lock(modex_mu_);
-      peer_negative_.insert(proc);
-      return base::ErrClass::rte_proc_failed;
-    }
-    if (base::now_ns() >= deadline) {
-      return base::ErrClass::rte_timeout;
-    }
-    if (base::cooperative()) {
-      base::try_yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+  // The failure check runs after each lookup, so a fetch racing the
+  // failure notice keeps any value it found (sends to it are then simply
+  // dropped, as before lazy modex); a dead peer whose blobs were never
+  // found — or were already purged by the notice — resolves to proc_failed.
+  const std::optional<Value> v = runtime_.datastore().get(
+      proc, key, timeout, [&] { return runtime_.is_failed(proc); });
+  std::lock_guard lock(modex_mu_);
+  if (v) {
+    peer_cache_[proc][key] = *v;
+    return *v;
   }
+  if (runtime_.is_failed(proc)) {
+    peer_negative_.insert(proc);
+    return base::ErrClass::rte_proc_failed;
+  }
+  return base::ErrClass::rte_timeout;
 }
 
 base::Result<std::shared_ptr<const std::vector<ProcId>>>

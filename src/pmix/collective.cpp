@@ -2,17 +2,14 @@
 
 #include <algorithm>
 
-#include "sessmpi/base/yield.hpp"
 
 namespace sessmpi::pmix {
 
 namespace {
-/// Poll slice while waiting: bounds how stale the failure oracle can be.
-/// Completion itself is notify-driven (or, under a cooperative scheduler,
-/// observed through the lock-free `done` flag); this only schedules
-/// failure checks, so it is kept long to avoid wake-up storms at high rank
-/// counts.
-constexpr base::Nanos kPollSlice{10'000'000};  // 10 ms
+/// Park cap while waiting: bounds how stale the failure oracle can be.
+/// Completion itself is notify-driven; this only schedules failure checks,
+/// so it is kept long to avoid wake-up storms at high rank counts.
+constexpr std::int64_t kPollSlice = 10'000'000;  // 10 ms, in ns
 }  // namespace
 
 CollectiveEngine::CollectiveEngine(FailureOracle is_failed, EpochFn failure_epoch)
@@ -23,13 +20,13 @@ std::size_t CollectiveEngine::active_ops() const {
   return ops_.size();
 }
 
-bool CollectiveEngine::try_abort_locked(
-    const std::string& key, const std::shared_ptr<Op>& op,
-    const std::optional<base::Clock::time_point>& deadline) {
-  if (op->completed) {
+bool CollectiveEngine::try_abort_locked(const std::string& key,
+                                        const std::shared_ptr<Op>& op,
+                                        std::int64_t deadline_ns) {
+  if (op->done.load(std::memory_order_relaxed)) {
     return false;
   }
-  const bool timed_out = deadline && base::Clock::now() >= *deadline;
+  const bool timed_out = base::now_ns() >= deadline_ns;
   bool peer_failed = false;
   if (is_failed_) {
     // With an epoch source the O(participants) scan runs only when a new
@@ -48,12 +45,11 @@ bool CollectiveEngine::try_abort_locked(
   if (!timed_out && !peer_failed) {
     return false;
   }
-  op->completed = true;
   op->status = base::RtStatus::fail(peer_failed ? base::ErrClass::rte_proc_failed
                                                 : base::ErrClass::rte_timeout);
   aborted_[key] = op->status.cls;
   op->done.store(true, std::memory_order_release);
-  op->cv.notify_all();
+  op->word.notify();
   return true;
 }
 
@@ -83,48 +79,22 @@ CollectiveEngine::Outcome CollectiveEngine::arrive(
 
   ++op->arrived;
   if (op->arrived == op->participants.size()) {
-    op->completed = true;
     op->status = base::RtStatus::success();
     op->value = on_complete ? on_complete() : 0;
     op->done.store(true, std::memory_order_release);
-    op->cv.notify_all();
+    op->word.notify();
   } else {
-    const auto deadline =
-        timeout ? std::optional{base::Clock::now() + *timeout} : std::nullopt;
-    if (base::cooperative()) {
-      // Fiber mode: never park the worker on the condition variable (that
-      // would strand every other fiber queued on it). Poll the lock-free
-      // completion flag, yielding between probes, and take the engine lock
-      // only at slice boundaries to run the abort checks.
-      while (!op->done.load(std::memory_order_acquire)) {
-        auto slice_end = base::Clock::now() + kPollSlice;
-        if (deadline && *deadline < slice_end) {
-          slice_end = *deadline;
-        }
-        lock.unlock();
-        while (!op->done.load(std::memory_order_acquire) &&
-               base::Clock::now() < slice_end) {
-          base::try_yield();
-        }
-        lock.lock();
-        if (try_abort_locked(key, op, deadline)) {
-          break;
-        }
-      }
-    } else {
-      while (!op->completed) {
-        auto slice_end = base::Clock::now() + kPollSlice;
-        if (deadline && *deadline < slice_end) {
-          slice_end = *deadline;
-        }
-        op->cv.wait_until(lock, slice_end);
-        if (op->completed) {
-          break;
-        }
-        // Abort paths. Only one thread performs the abort (completed flag).
-        if (try_abort_locked(key, op, deadline)) {
-          break;
-        }
+    const std::int64_t deadline =
+        timeout ? base::now_ns() + timeout->count() : base::kNoDeadline;
+    while (!op->done.load(std::memory_order_relaxed)) {
+      lock.unlock();
+      base::wait_until(
+          op->word, [&] { return op->done.load(std::memory_order_acquire); },
+          std::min(base::now_ns() + kPollSlice, deadline));
+      lock.lock();
+      // Abort paths. Only one thread performs the abort (done flag).
+      if (try_abort_locked(key, op, deadline)) {
+        break;
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "sessmpi/pmix/datastore.hpp"
 
-#include "sessmpi/base/yield.hpp"
 
 namespace sessmpi::pmix {
 
@@ -23,7 +22,7 @@ std::size_t Datastore::commit(ProcId proc) {
     }
     staged_.erase(it);
   }
-  cv_.notify_all();
+  word_.notify();
   return published;
 }
 
@@ -42,40 +41,26 @@ std::optional<Value> Datastore::get_immediate(ProcId proc,
 }
 
 std::optional<Value> Datastore::get(ProcId proc, const std::string& key,
-                                    base::Nanos timeout) {
-  const auto deadline = base::Clock::now() + timeout;
-  if (base::cooperative()) {
-    // Fiber mode: poll under a short lock and yield unlocked — a
-    // condition-variable wait would park the scheduler worker.
-    for (;;) {
-      if (auto v = get_immediate(proc, key)) {
-        return v;
-      }
-      if (base::Clock::now() >= deadline) {
-        return std::nullopt;
-      }
-      base::try_yield();
-    }
-  }
-  std::unique_lock lock(mu_);
-  for (;;) {
-    auto pit = published_.find(proc);
-    if (pit != published_.end()) {
-      auto kit = pit->second.find(key);
-      if (kit != pit->second.end()) {
-        return kit->second;
-      }
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return std::nullopt;
-    }
-  }
+                                    base::Nanos timeout,
+                                    const std::function<bool()>& abandon) {
+  std::optional<Value> v;
+  base::wait_until(
+      word_,
+      [&] {
+        return (v = get_immediate(proc, key)).has_value() ||
+               (abandon && abandon());
+      },
+      base::now_ns() + timeout.count());
+  return v;
 }
 
 void Datastore::purge(ProcId proc) {
-  std::lock_guard lock(mu_);
-  staged_.erase(proc);
-  published_.erase(proc);
+  {
+    std::lock_guard lock(mu_);
+    staged_.erase(proc);
+    published_.erase(proc);
+  }
+  word_.notify();  // the failure notice: lookups of `proc` give up
 }
 
 std::size_t Datastore::published_count() const {

@@ -63,8 +63,8 @@ class PmixClient {
   /// Cached peer-info lookup: the per-rank modex cache answers repeats for
   /// free (counter pmix.modex_cache_hits); a miss performs one lazy fetch
   /// (counter pmix.modex_lazy_fetches, cost modex_per_peer_ns + RPC) and
-  /// waits — yielding under the cooperative scheduler — for the peer to
-  /// publish. A peer that died before ever publishing lands in the negative
+  /// parks on the datastore until the peer publishes or is declared
+  /// failed. A peer that died before ever publishing lands in the negative
   /// cache and every call returns rte_proc_failed immediately; the PML then
   /// marks it failed in the fabric, so a first send to a dead rank takes the
   /// ordinary dead-peer path instead of hanging.
@@ -150,7 +150,7 @@ class PmixClient {
   std::map<std::string, std::uint64_t> seq_;
 
   // Lazy-modex caches. Guarded by modex_mu_ (per-rank; held only for map
-  // access, never across a modeled delay or scheduler yield).
+  // access, never across a modeled delay or a park).
   std::mutex modex_mu_;
   std::unordered_map<ProcId, std::map<std::string, Value>> peer_cache_;
   std::unordered_set<ProcId> peer_negative_;  ///< died before first publish

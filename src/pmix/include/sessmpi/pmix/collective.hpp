@@ -11,7 +11,6 @@
 // time-out feature to avoid deadlock due to a non-responsive participant").
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -23,6 +22,7 @@
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/error.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/pmix/value.hpp"
 
 namespace sessmpi::pmix {
@@ -65,21 +65,20 @@ class CollectiveEngine {
     std::vector<ProcId> participants;
     std::size_t arrived = 0;
     std::size_t departed = 0;
-    bool completed = false;  ///< guarded by mu_
-    /// Lock-free mirror of `completed` so cooperative waiters can poll
-    /// without re-acquiring the engine mutex on every yield.
+    /// Set (with status and value, under mu_) on completion or abort;
+    /// read lock-free by the waiters' predicate.
     std::atomic<bool> done{false};
     /// Failure epoch at the last participant scan (oracle gating).
     std::uint64_t checked_epoch = 0;
     base::RtStatus status = base::RtStatus::success();
     std::uint64_t value = 0;
-    std::condition_variable cv;
+    base::WaitWord word;  ///< notified on completion or abort
   };
 
   /// Run the timeout/failure abort checks for `op` (mu_ held). Returns
   /// true if the op was aborted by this call.
   bool try_abort_locked(const std::string& key, const std::shared_ptr<Op>& op,
-                        const std::optional<base::Clock::time_point>& deadline);
+                        std::int64_t deadline_ns);
 
   FailureOracle is_failed_;
   EpochFn failure_epoch_;

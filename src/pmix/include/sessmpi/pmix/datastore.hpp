@@ -5,13 +5,14 @@
 // from a remote process block (direct-modex style) until the value is
 // published or the timeout expires.
 
-#include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 
 #include "sessmpi/base/clock.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/pmix/value.hpp"
 
 namespace sessmpi::pmix {
@@ -24,9 +25,12 @@ class Datastore {
   /// Publish all staged pairs for `proc`. Returns number published.
   std::size_t commit(ProcId proc);
 
-  /// Blocking lookup with timeout (dmodex). Returns nullopt on timeout.
+  /// Blocking lookup with timeout (dmodex). Returns nullopt on timeout, or
+  /// once `abandon()` holds after a lookup that missed. Commits and purges
+  /// (the failure notice) re-check it.
   std::optional<Value> get(ProcId proc, const std::string& key,
-                           base::Nanos timeout);
+                           base::Nanos timeout,
+                           const std::function<bool()>& abandon = {});
 
   /// Non-blocking lookup.
   std::optional<Value> get_immediate(ProcId proc, const std::string& key);
@@ -39,7 +43,7 @@ class Datastore {
  private:
   using KeyMap = std::map<std::string, Value>;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  base::WaitWord word_;  ///< notified by every commit and purge
   std::map<ProcId, KeyMap> staged_;
   std::map<ProcId, KeyMap> published_;
 };

@@ -8,7 +8,6 @@
 // group_ready events and registers the group (with a PGCID) exactly like
 // the collective constructor.
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -20,6 +19,7 @@
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/result.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/pmix/value.hpp"
 
 namespace sessmpi::pmix {
@@ -60,9 +60,6 @@ class InviteBoard {
   base::Result<InviteStatus> finalize(const std::string& name,
                                       std::optional<base::Nanos> timeout);
 
-  /// Mark completion metadata (PGCID) before the initiator publishes it.
-  void set_pgcid(const std::string& name, std::uint64_t pgcid);
-
   [[nodiscard]] std::size_t open_invitations() const;
 
  private:
@@ -71,7 +68,7 @@ class InviteBoard {
     std::map<ProcId, InviteResponse> responses;
   };
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  base::WaitWord word_;  ///< notified by every response
   std::map<std::string, Entry> entries_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sessmpi/base/clock.hpp"
-#include "sessmpi/base/yield.hpp"
 
 namespace sessmpi::pmix {
 
@@ -45,7 +44,7 @@ base::RtStatus InviteBoard::respond(const std::string& name, ProcId who,
     rit->second = join ? InviteResponse::joined : InviteResponse::declined;
     (join ? it->second.st.joined : it->second.st.declined).push_back(who);
   }
-  cv_.notify_all();
+  word_.notify();
   return base::RtStatus::success();
 }
 
@@ -72,36 +71,13 @@ std::optional<InviteStatus> InviteBoard::status(const std::string& name) const {
 
 base::Result<InviteStatus> InviteBoard::finalize(
     const std::string& name, std::optional<base::Nanos> timeout) {
-  std::unique_lock lock(mu_);
+  base::wait_until(
+      word_, [&] { return all_answered(name) || !status(name); },
+      timeout ? base::now_ns() + timeout->count() : base::kNoDeadline);
+  std::lock_guard lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     return base::ErrClass::rte_not_found;
-  }
-  const auto answered = [&] {
-    return std::all_of(
-        it->second.responses.begin(), it->second.responses.end(),
-        [](const auto& kv) { return kv.second != InviteResponse::pending; });
-  };
-  if (base::cooperative()) {
-    // Fiber mode: yield-poll instead of parking the scheduler worker.
-    const auto deadline =
-        timeout ? std::optional{base::Clock::now() + *timeout} : std::nullopt;
-    while (!answered()) {
-      if (deadline && base::Clock::now() >= *deadline) {
-        break;
-      }
-      lock.unlock();
-      base::try_yield();
-      lock.lock();
-      it = entries_.find(name);
-      if (it == entries_.end()) {
-        return base::ErrClass::rte_not_found;
-      }
-    }
-  } else if (timeout) {
-    cv_.wait_for(lock, *timeout, answered);
-  } else {
-    cv_.wait(lock, answered);
   }
   // Close regardless: pending invitees are dropped (the paper's "replace
   // processes that ... fail to respond within a specified time").
@@ -109,14 +85,6 @@ base::Result<InviteStatus> InviteBoard::finalize(
   InviteStatus out = it->second.st;
   entries_.erase(it);
   return out;
-}
-
-void InviteBoard::set_pgcid(const std::string& name, std::uint64_t pgcid) {
-  std::lock_guard lock(mu_);
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    it->second.st.pgcid = pgcid;
-  }
 }
 
 std::size_t InviteBoard::open_invitations() const {

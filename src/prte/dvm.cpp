@@ -2,7 +2,6 @@
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/error.hpp"
-#include "sessmpi/base/yield.hpp"
 #include "sessmpi/obs/trace.hpp"
 
 namespace sessmpi::prte {
@@ -36,7 +35,7 @@ bool Dvm::load_components(int node) {
   // 2 = loaded): the old mutex was held across the multi-millisecond NFS
   // delay, which would freeze a cooperative scheduler worker while its
   // node-mates' fibers queue behind it. Now only the first process pays
-  // the delay; node-mates yield-wait on the flag.
+  // the delay; node-mates park on the flag.
   int expected = 0;
   if (nl.state.compare_exchange_strong(expected, 1,
                                        std::memory_order_acq_rel)) {
@@ -45,11 +44,12 @@ bool Dvm::load_components(int node) {
     OBS_SPAN_ARG("prte.nfs_load", "prte", static_cast<std::uint64_t>(node));
     base::precise_delay(spec_.cost.nfs_load_cost(spec_.topo.num_nodes));
     nl.state.store(2, std::memory_order_release);
+    nl.loaded.notify();
     return true;
   }
-  while (nl.state.load(std::memory_order_acquire) != 2) {
-    base::try_yield();
-  }
+  base::wait_until(nl.loaded, [&] {
+    return nl.state.load(std::memory_order_acquire) == 2;
+  });
   return false;
 }
 

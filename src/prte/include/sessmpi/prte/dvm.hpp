@@ -16,6 +16,7 @@
 
 #include "sessmpi/base/cost_model.hpp"
 #include "sessmpi/base/topology.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/pmix/runtime.hpp"
 #include "sessmpi/prte/simfs.hpp"
 
@@ -70,6 +71,7 @@ class Dvm {
   struct NodeLoad {
     /// 0 = unloaded, 1 = a process is loading, 2 = loaded.
     std::atomic<int> state{0};
+    base::WaitWord loaded;  ///< notified when state reaches 2
   };
   std::vector<std::unique_ptr<NodeLoad>> node_loads_;
 };

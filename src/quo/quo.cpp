@@ -3,10 +3,10 @@
 #include <atomic>
 #include <map>
 #include <mutex>
-#include <thread>
 
+#include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/error.hpp"
-#include "sessmpi/base/yield.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/pmix/pset.hpp"
 #include "sessmpi/sim/cluster.hpp"
 
@@ -24,24 +24,21 @@ class SenseBarrier {
     if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
       count_.store(0, std::memory_order_relaxed);
       sense_.store(*local_sense, std::memory_order_release);
+      flipped_.notify();
     } else {
       // On the paper's testbed every rank owns a core, so QUO spins; on an
-      // oversubscribed simulation host pure spinning starves the working
-      // leader, so back off briefly between checks. Detection latency stays
-      // far below the sessions barrier's message rounds.
-      while (sense_.load(std::memory_order_acquire) != *local_sense) {
-        if (base::cooperative()) {
-          base::try_yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
+      // oversubscribed simulation host spinning starves the working leader,
+      // so the waiters park until the last arriver flips the sense.
+      base::wait_until(flipped_, [&] {
+        return sense_.load(std::memory_order_acquire) == *local_sense;
+      });
     }
   }
 
  private:
   std::atomic<int> count_{0};
   std::atomic<bool> sense_{false};
+  base::WaitWord flipped_;
 };
 
 std::mutex g_registry_mu;
@@ -131,15 +128,13 @@ void QuoContext::barrier() {
     im.shm_barrier->wait(&im.local_sense, im.node_comm.size());
   } else {
     // Low-perturbation quiescence: alternate Ibarrier progress probes with
-    // nanosleep so quiesced ranks yield the cores to the threaded phase.
+    // parks of up to quiesce_sleep_ns, so quiesced ranks yield the cores to
+    // the threaded phase. An arrival for this rank ends a park early.
+    base::WaitWord& word = sim::Cluster::current().endpoint().inbox().word();
     Request req = im.sess_comm.ibarrier();
-    while (!req.test()) {
-      if (base::cooperative()) {
-        base::try_yield();
-      } else {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(im.quiesce_sleep_ns));
-      }
+    for (std::uint32_t seen = word.epoch(); !req.test(); seen = word.epoch()) {
+      base::wait_until(word, [&] { return word.epoch() != seen; },
+                       base::now_ns() + im.quiesce_sleep_ns);
     }
   }
   ++im.barriers;

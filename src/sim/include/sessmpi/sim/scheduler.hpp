@@ -6,23 +6,26 @@
 // single host near a few thousand ranks: each thread costs a full kernel
 // stack, a scheduler entity, and — far worse — every modeled delay parks a
 // core in sleep_for. Fiber mode multiplexes all rank bodies onto a small
-// pool of worker threads as stackful ucontext fibers. Every blocking point
-// in the stack (modeled delays, inbox waits, PMIx rendezvous, shm spins,
-// NFS component loads) reaches the scheduler through the thread-local
-// base::try_yield() hook a worker installs before resuming a fiber, so a
-// parked rank costs one context switch instead of one blocked core.
+// pool of worker threads as stackful ucontext fibers.
+//
+// Every blocking point in the stack is a base::wait_until on a WaitWord
+// (base/wait.hpp). On a fiber it parks: the fiber leaves its worker's run
+// queue and costs nothing until a notify re-queues it (from any thread:
+// another worker, the fabric pump, a rank thread) or its deadline expires
+// in the worker's timer heap. A worker with nothing runnable polls its
+// woken stack and timers; it never sleeps.
 //
 // Fibers are PINNED to the worker that first runs them (no migration):
 // rank TLS (sim::Process binding, tracer track) is restored on every
 // resume via the task hooks, per-fiber state never crosses threads
-// mid-flight, and the TSan/ASan fiber annotations stay simple.
+// mid-flight, and the TSan/ASan fiber annotations stay simple. A wake from
+// another thread only pushes the fiber onto its owner's woken stack.
 //
-// Yield-safety contract (see DESIGN.md §15 for the full inventory): code
-// must never yield while holding a lock another rank's fiber can block on.
-// Per-rank locks (ProcState::mu, the PMIx client cache) are safe; every
-// cross-rank lock formerly held across a modeled delay (PmixServer RPC
-// serialization, the per-node NFS component load) was restructured into a
-// lock-free reservation or state machine in this refactor.
+// Park-safety contract (DESIGN.md §15): code must never park while holding
+// a lock another rank's fiber can block on. Per-rank locks (ProcState::mu,
+// the PMIx client cache) are safe; cross-rank waits are lock-free
+// reservations or state machines (PmixServer RPC serialization, the
+// per-node NFS component load).
 
 #include <cstddef>
 #include <functional>
@@ -42,7 +45,7 @@ void register_scheduler_cvar();
 
 /// One cooperative task (a simulated rank's body plus its TLS lifecycle).
 struct FiberTask {
-  /// The rank body. Runs to completion across any number of yields; must
+  /// The rank body. Runs to completion across any number of parks; must
   /// not leak exceptions (the cluster body already catches everything, and
   /// the trampoline swallows strays as a last resort).
   std::function<void()> body;

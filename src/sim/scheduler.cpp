@@ -7,15 +7,19 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "sessmpi/base/error.hpp"
 #include "sessmpi/base/stats.hpp"
-#include "sessmpi/base/yield.hpp"
+#include "sessmpi/base/clock.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/obs/tvar.hpp"
 
 // Sanitizer fiber support: TSan must be told about every stack switch or
@@ -65,8 +69,13 @@ std::atomic<int>& mode_flag() {
 
 struct Worker;
 
-/// One stackful fiber: context, guarded stack, task, sanitizer handles.
-struct Fiber {
+/// One stackful fiber: context, guarded stack, task, sanitizer handles. It
+/// is also its own base::Parker: a park switches it out to its worker,
+/// which keeps it off the run queue until an unpark or its deadline.
+struct Fiber final : base::Parker {
+  void park(std::int64_t deadline_ns) override;
+  void unpark() noexcept override;
+
   ucontext_t ctx{};
   void* map_base = nullptr;     ///< mmap base (guard page + stack)
   std::size_t map_bytes = 0;
@@ -75,6 +84,13 @@ struct Fiber {
   FiberTask task;
   bool started = false;
   bool done = false;
+  /// Park protocol: kParked once the worker filed the switched-out fiber;
+  /// the one unpark or timer that moves it back to kRunning re-queues it.
+  /// An unpark that finds it running (still switching out, or awake)
+  /// leaves kNotified, which the next park consumes.
+  enum : int { kRunning, kNotified, kParked };
+  std::atomic<int> state{kRunning};
+  Fiber* next_woken = nullptr;   ///< link in the owner's woken stack
   Worker* owner = nullptr;
 #if defined(SESSMPI_TSAN)
   void* tsan = nullptr;
@@ -84,8 +100,16 @@ struct Fiber {
 #endif
 };
 
+/// (deadline, fiber). An entry outlived by its park may wake the fiber's
+/// next park early, which the waits tolerate.
+using Timer = std::pair<std::int64_t, Fiber*>;
+
 struct Worker {
   std::deque<Fiber*> runq;
+  /// Fibers unparked from any thread, pushed lock-free (newest first).
+  std::atomic<Fiber*> woken{nullptr};
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
+  std::size_t live = 0;  ///< fibers not yet completed
   ucontext_t main_ctx{};
   Fiber* current = nullptr;
 #if defined(SESSMPI_TSAN)
@@ -145,7 +169,7 @@ void switch_in(Worker& w, Fiber& f) {
   __sanitizer_start_switch_fiber(&w.main_fake_stack, f.stack_lo, f.stack_bytes);
 #endif
   swapcontext(&w.main_ctx, &f.ctx);
-  // Back on the worker context: the fiber yielded or completed.
+  // Back on the worker context: the fiber parked or completed.
 #if defined(SESSMPI_ASAN)
   __sanitizer_finish_switch_fiber(w.main_fake_stack, nullptr, nullptr);
 #endif
@@ -175,15 +199,38 @@ void switch_out(Worker& w, Fiber& f, bool final_switch) {
   }
 }
 
-/// The base::try_yield() hook while a fiber runs: suspend it back to the
-/// scheduler; the worker calls on_suspend/on_resume around the gap.
-void yield_hook(void* ctx) {
-  auto* w = static_cast<Worker*>(ctx);
-  Fiber* f = w->current;
-  if (f == nullptr) {
-    return;  // called from worker scheduling code: nothing to suspend
+void Fiber::park(std::int64_t deadline) {
+  // Alone on its worker, a fiber waits in place: switching out would only
+  // hand the core to a worker loop that polls for the same wake.
+  Worker& w = *owner;
+  while (state.load(std::memory_order_relaxed) != kNotified &&
+         w.runq.empty() && w.woken.load(std::memory_order_relaxed) == nullptr &&
+         (w.timers.empty() || w.timers.top().first > base::now_ns()) &&
+         base::now_ns() < deadline) {
+    std::this_thread::yield();
   }
-  switch_out(*w, *f, /*final_switch=*/false);
+  int s = kNotified;
+  if (state.compare_exchange_strong(s, kRunning, std::memory_order_acquire) ||
+      base::now_ns() >= deadline) {
+    return;  // woken, or timed out, without switching
+  }
+  if (deadline != base::kNoDeadline) {
+    w.timers.emplace(deadline, this);  // this thread is the worker's
+  }
+  switch_out(w, *this, /*final_switch=*/false);
+}
+
+void Fiber::unpark() noexcept {
+  int s = state.load(std::memory_order_relaxed);
+  while (s != kNotified &&
+         !state.compare_exchange_weak(s, s == kParked ? kRunning : kNotified,
+                                      std::memory_order_acq_rel)) {
+  }
+  if (s == kParked) {
+    next_woken = owner->woken.load(std::memory_order_relaxed);
+    while (!owner->woken.compare_exchange_weak(next_woken, this)) {
+    }
+  }
 }
 
 /// Fiber entry point. makecontext can only pass ints, so the fiber to run
@@ -213,8 +260,27 @@ void worker_main(Worker& w) {
 #if defined(SESSMPI_TSAN)
   w.main_tsan = __tsan_get_current_fiber();
 #endif
-  base::set_yield_hook(&yield_hook, &w);
-  while (!w.runq.empty()) {
+  while (w.live > 0) {
+    // Re-queue the woken fibers and those whose park deadline passed.
+    for (Fiber* f = w.woken.exchange(nullptr, std::memory_order_acquire);
+         f != nullptr; f = f->next_woken) {
+      w.runq.push_back(f);
+    }
+    while (!w.timers.empty() && w.timers.top().first <= base::now_ns()) {
+      Fiber* f = w.timers.top().second;
+      w.timers.pop();
+      int s = Fiber::kParked;
+      if (f->state.compare_exchange_strong(s, Fiber::kRunning,
+                                           std::memory_order_acquire)) {
+        w.runq.push_back(f);
+      }
+    }
+    if (w.runq.empty()) {
+      // Every fiber here is parked: poll again, never sleep, so a wake
+      // from another thread costs no futex round trip.
+      std::this_thread::yield();
+      continue;
+    }
     Fiber* f = w.runq.front();
     w.runq.pop_front();
     if (!f->started) {
@@ -228,7 +294,9 @@ void worker_main(Worker& w) {
     if (f->task.on_resume) {
       f->task.on_resume();
     }
+    base::set_fiber_parker(f);
     switch_in(w, *f);
+    base::set_fiber_parker(nullptr);
     if (f->task.on_suspend) {
       f->task.on_suspend();
     }
@@ -238,11 +306,17 @@ void worker_main(Worker& w) {
       f->tsan = nullptr;
 #endif
       free_stack(*f);
-    } else {
+      --w.live;
+      continue;
+    }
+    // Parked: file it, or re-queue it at once if an unpark came first.
+    int s = Fiber::kRunning;
+    if (!f->state.compare_exchange_strong(s, Fiber::kParked,
+                                          std::memory_order_acq_rel)) {
+      f->state.store(Fiber::kRunning, std::memory_order_relaxed);
       w.runq.push_back(f);
     }
   }
-  base::clear_yield_hook();
   tls_worker = nullptr;
 }
 
@@ -310,6 +384,7 @@ void FiberPool::run(std::vector<FiberTask> tasks, Options opts) {
     Worker& w = pool[i % static_cast<std::size_t>(workers)];
     f->owner = &w;
     w.runq.push_back(f.get());
+    ++w.live;
     fibers.push_back(std::move(f));
   }
 

@@ -7,9 +7,9 @@
 // ctest case.
 //
 // This is the acceptance property of the fiber scheduler (DESIGN.md §15):
-// moving a rank from a preemptive OS thread to a cooperatively yielding
-// fiber must be invisible to the MPI semantics, including the recovery
-// paths (revoke/shrink) and the checkpoint/restore pipeline.
+// moving a rank from a preemptive OS thread to a fiber that parks on the
+// same waits must be invisible to the MPI semantics, including the
+// recovery paths (revoke/shrink) and the checkpoint/restore pipeline.
 //
 // The seed-swept tail tests pin run-to-run determinism *within* fiber
 // mode: the same chaos seed must produce the same kills, the same commits,
@@ -195,6 +195,8 @@ struct CkptParams {
   int kill_every = 0;
   int max_kills = 0;
   std::vector<std::pair<int, int>> kill_node_at;
+  /// Rank that dies before any survivor resolved its endpoint (-1 = none).
+  int dead_on_arrival = -1;
 };
 
 /// Soak-style workload (ring + barrier + periodic checkpoint, ULFM recovery
@@ -230,6 +232,25 @@ Digest ckpt_restore_scenario(const CkptParams& prm) {
     Communicator comm = Communicator::create_from_group(
         sess.group_from_pset("mpi://world"), "parity_ckpt", Info::null(),
         Errhandler::errors_return());
+    if (g == prm.dead_on_arrival) {
+      p.fail();  // nobody has contacted it yet
+      return;
+    }
+    if (prm.dead_on_arrival >= 0) {
+      // Woken by the failure notice, not a delivery (soak_test.cpp).
+      const Status st = comm.ibarrier().wait();
+      {
+        std::lock_guard lk(mu);
+        d["doa_barrier_failed." + std::to_string(g)] =
+            static_cast<std::uint64_t>(st.error != ErrClass::success);
+      }
+      if (!comm.is_revoked()) {
+        comm.revoke();
+      }
+      Communicator shrunk = comm.shrink();
+      comm.free();
+      comm = shrunk;
+    }
 
     std::vector<std::uint8_t> data = state_of(g, 0);
     std::uint64_t iter = 0;
@@ -358,6 +379,7 @@ SCHED_CASE(Ring, ring_scenario())
 SCHED_CASE(Allreduce, allreduce_scenario())
 SCHED_CASE(RevokeShrink, shrink_scenario())
 SCHED_CASE(CheckpointRestoreNodeKill, ckpt_node_kill_scenario())
+SCHED_CASE(NeverContactedVictim, ckpt_restore_scenario({.dead_on_arrival = 4}))
 
 #undef SCHED_CASE
 

@@ -63,6 +63,9 @@ struct SoakParams {
   int kill_every = 0;  ///< cooperative periodic rank kills (0 = off)
   int max_kills = 0;
   std::vector<std::pair<int, int>> kill_node_at;  ///< (step, node)
+  /// Rank that dies right after communicator creation, before any
+  /// survivor resolved its endpoint (-1 = none).
+  int dead_on_arrival = -1;
   /// In-memory redundancy-set shape under test (the default (1, 1) is a
   /// partner copy on another node).
   int set_data = 1;
@@ -123,6 +126,22 @@ void soak_body(sim::Cluster& cluster, sim::ChaosMonkey& monkey,
     Communicator comm = Communicator::create_from_group(
         sess.group_from_pset("mpi://world"), "soak", Info::null(),
         Errhandler::errors_return());
+    if (g == prm.dead_on_arrival) {
+      p.fail();  // nobody has contacted it yet
+      return;
+    }
+    if (prm.dead_on_arrival >= 0) {
+      // The survivors' first wait on the victim is a barrier, whose
+      // schedule resolves no endpoint of a non-leader: the failure notice,
+      // not a delivery, is what ends it. Recover onto the survivors.
+      EXPECT_NE(comm.ibarrier().wait().error, ErrClass::success);
+      if (!comm.is_revoked()) {
+        comm.revoke();
+      }
+      Communicator shrunk = comm.shrink();
+      comm.free();
+      comm = shrunk;
+    }
 
     std::vector<std::uint8_t> data = state_of(g, 0);
     std::uint64_t iter = 0;
@@ -245,16 +264,21 @@ void run_soak(const SoakParams& prm) {
   // kills() counts kill *events* (a node kill is one event, ppn deaths);
   // the schedule's victim list is the per-rank ground truth.
   EXPECT_EQ(static_cast<std::size_t>(ranks - survivors),
-            monkey.schedule().victims().size());
+            monkey.schedule().victims().size() +
+                (prm.dead_on_arrival >= 0 ? 1 : 0));
   if (!monkey.schedule().victims().empty()) {
     EXPECT_FALSE(rec.restores.empty()) << "kills happened but nobody restored";
+  }
+  if (prm.dead_on_arrival >= 0) {
+    EXPECT_EQ(cluster.fabric().endpoint(prm.dead_on_arrival).delivered(), 0u)
+        << "a survivor reached the victim before it died";
   }
 }
 
 /// One matrix point = one ctest case (gtest_discover_tests registers each
 /// TEST individually; the binary carries the `soak` label).
 #define SOAK_CASE(name, nodes_, ppn_, iters_, seed_, drop_, kill_every_, \
-                  max_kills_, ...)                                       \
+                  max_kills_, doa_, ...)                                 \
   TEST(Soak, name) {                                                     \
     SoakParams prm;                                                      \
     prm.nodes = (nodes_);                                                \
@@ -264,18 +288,20 @@ void run_soak(const SoakParams& prm) {
     prm.drop = (drop_);                                                  \
     prm.kill_every = (kill_every_);                                      \
     prm.max_kills = (max_kills_);                                        \
+    prm.dead_on_arrival = (doa_);                                        \
     prm.kill_node_at = {__VA_ARGS__};                                    \
     run_soak(prm);                                                       \
   }
 
-//        name                  nodes ppn iters seed drop  every kills  node kills
-SOAK_CASE(Clean4Ranks,             1,  4,   9,   11, 0.00,  0,    0)
-SOAK_CASE(Drop10Clean4Ranks,       1,  4,   9,   12, 0.10,  0,    0)
-SOAK_CASE(Kill1of4,                1,  4,   9,   13, 0.00,  5,    1)
-SOAK_CASE(Drop10Kill1of8,          2,  4,  12,   14, 0.10,  6,    1)
-SOAK_CASE(Drop25Kill2of8,          2,  4,  12,   15, 0.25,  5,    2)
-SOAK_CASE(NodeKill8Ranks,          2,  4,   9,   16, 0.00,  0,    0, {5, 1})
-SOAK_CASE(Drop10NodeKill8Ranks,    2,  4,   9,   17, 0.10,  0,    0, {5, 1})
+//        name                  nodes ppn iters seed drop  every kills doa  node kills
+SOAK_CASE(Clean4Ranks,             1,  4,   9,   11, 0.00,  0,    0,   -1)
+SOAK_CASE(Drop10Clean4Ranks,       1,  4,   9,   12, 0.10,  0,    0,   -1)
+SOAK_CASE(Kill1of4,                1,  4,   9,   13, 0.00,  5,    1,   -1)
+SOAK_CASE(Drop10Kill1of8,          2,  4,  12,   14, 0.10,  6,    1,   -1)
+SOAK_CASE(Drop25Kill2of8,          2,  4,  12,   15, 0.25,  5,    2,   -1)
+SOAK_CASE(NodeKill8Ranks,          2,  4,   9,   16, 0.00,  0,    0,   -1, {5, 1})
+SOAK_CASE(Drop10NodeKill8Ranks,    2,  4,   9,   17, 0.10,  0,    0,   -1, {5, 1})
+SOAK_CASE(NeverContactedVictim,    2,  4,   9,   18, 0.10,  0,    0,    5)
 
 #undef SOAK_CASE
 
