@@ -147,7 +147,7 @@ Checkpointer::~Checkpointer() {
     std::lock_guard lk(dmu_);
     drain_stop_ = true;
   }
-  dcv_.notify_all();
+  dword_.notify();
   if (drainer_.joinable()) {
     drainer_.join();
   }
@@ -456,7 +456,7 @@ void Checkpointer::spill_async(prte::SimFs& fs, std::uint64_t epoch,
       drainer_ = std::thread([this] { drain_loop(); });
     }
   }
-  dcv_.notify_all();
+  dword_.notify();
 }
 
 Checkpointer::DrainJob::State Checkpointer::drain_one(const DrainJob& job,
@@ -529,9 +529,12 @@ Checkpointer::DrainJob::State Checkpointer::drain_one(const DrainJob& job,
 }
 
 void Checkpointer::drain_loop() {
-  std::unique_lock lk(dmu_);
   for (;;) {
-    dcv_.wait(lk, [&] { return drain_stop_ || !dqueue_.empty(); });
+    base::wait_until(dword_, [this] {
+      std::lock_guard lk(dmu_);
+      return drain_stop_ || !dqueue_.empty();
+    });
+    std::unique_lock lk(dmu_);
     if (dqueue_.empty()) {
       return;  // stop requested and nothing left to drain
     }
@@ -540,11 +543,13 @@ void Checkpointer::drain_loop() {
     if (drain_stop_) {
       job->state = DrainJob::State::cancelled;
       dlive_.erase(std::find(dlive_.begin(), dlive_.end(), job));
-      dcv_.notify_all();
+      lk.unlock();
+      dword_.notify();
       continue;
     }
     job->state = DrainJob::State::draining;
     lk.unlock();
+    dword_.notify();
 
     const std::int64_t j0 = mono_ns();
     std::string cause;
@@ -561,14 +566,20 @@ void Checkpointer::drain_loop() {
     }
     drain_busy_ns_ += dur;
     dlive_.erase(std::find(dlive_.begin(), dlive_.end(), job));
-    dcv_.notify_all();
+    lk.unlock();
+    dword_.notify();
   }
 }
 
 bool Checkpointer::drain_fence() {
   const std::int64_t t0 = mono_ns();
-  std::unique_lock lk(dmu_);
-  dcv_.wait(lk, [&] { return dlive_.empty(); });
+  // A fence with nothing in flight is one lock-and-check: wait_until tests
+  // the predicate before it registers on the word.
+  base::wait_until(dword_, [this] {
+    std::lock_guard lk(dmu_);
+    return dlive_.empty();
+  });
+  std::lock_guard lk(dmu_);
   drain_fence_wait_ns_ += static_cast<std::uint64_t>(mono_ns() - t0);
   return drain_first_cause_.empty();
 }

@@ -49,7 +49,6 @@
 // ckpt.spills, ckpt.spill_retries, ckpt.drain_failures.
 // Histograms (obs::histogram): ckpt.encode_ns, ckpt.drain_ns.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -61,6 +60,7 @@
 #include <vector>
 
 #include "sessmpi/base/topology.hpp"
+#include "sessmpi/base/wait.hpp"
 #include "sessmpi/ckpt/codec.hpp"
 #include "sessmpi/comm.hpp"
 
@@ -149,9 +149,10 @@ class Checkpointer {
   /// uniformly on every rank.
   RestoreResult restore(const Communicator& comm);
 
-  /// Time-based cadence helper: true when the `ckpt.interval.*` cvars say
-  /// a save is due at `now_ns` (always true when no interval is
-  /// configured). Arms the next deadline when it fires.
+  /// Time-based cadence helper: true when a save is due at `now_ns` by the
+  /// planner's interval (planner().effective_interval_ns(); always true
+  /// while that is 0, i.e. before an MTBF and a save cost were measured).
+  /// Arms the next deadline when it fires.
   [[nodiscard]] bool should_save(std::int64_t now_ns);
 
   /// Block until every enqueued async spill reaches a terminal state
@@ -226,7 +227,9 @@ class Checkpointer {
 
   // --- async drain pipeline (drainer thread <-> rank thread) ---
   mutable std::mutex dmu_;
-  std::condition_variable dcv_;
+  /// Notified after every change to dqueue_, dlive_ or drain_stop_: the
+  /// drainer parks on it for work, drain_fence() for an empty dlive_.
+  base::WaitWord dword_;
   std::deque<std::shared_ptr<DrainJob>> dqueue_;
   std::vector<std::shared_ptr<DrainJob>> dlive_;  ///< staged + draining
   bool drain_stop_ = false;

@@ -1,30 +1,25 @@
 #pragma once
 
-// Checkpoint-interval planner (Young/Daly). The planner turns two measured
+// Checkpoint-interval planner (Daly). The planner turns two measured
 // quantities — mean time between failures as observed by the workload
 // (e.g. under the sim's chaos schedule) and the EWMA cost of a coordinated
 // save — into the optimal checkpoint interval:
 //
-//   Young:  tau = sqrt(2 * delta * M)
-//   Daly:   tau = sqrt(2 * delta * M) * (1 + (1/3) * sqrt(delta / (2M))
-//                                          + (1/9) * (delta / (2M))) - delta
-//           (delta < 2M; degenerates to tau = M beyond that)
+//   tau = sqrt(2 * delta * M) * (1 + (1/3) * sqrt(delta / (2M))
+//                                  + (1/9) * (delta / (2M))) - delta
+//   (delta < 2M; tau = M beyond that)
 //
-// with delta = save cost and M = MTBF, both in nanoseconds.
+// with delta = save cost and M = MTBF, both in nanoseconds. The leading
+// term is Young's sqrt(2 * delta * M); the higher-order terms keep tau
+// below M when saves are expensive, where Young's value exceeds the MTBF.
 //
 // One process-wide planner instance (`planner()`) aggregates failures from
 // every rank of the simulated cluster — MTBF is a system property, not a
-// per-rank one. It is wired into the MPI_T namespace:
+// per-rank one. It exposes its state as MPI_T pvars:
 //
 //   gauges  ckpt.planner.mtbf_ns, ckpt.planner.interval_ns,
 //           ckpt.planner.save_cost_ns
 //   counter ckpt.planner.failures
-//   cvars   ckpt.interval.mode      "fixed" | "planned"
-//           ckpt.interval.fixed_ns  fixed-mode interval (also the planned-
-//                                   mode fallback until enough failures)
-//           ckpt.planner.model      "young" | "daly"
-//
-// so a soak test can A/B fixed vs planned cadence by flipping cvars.
 
 #include <cstdint>
 
@@ -44,13 +39,8 @@ class IntervalPlanner {
 
   [[nodiscard]] std::int64_t save_cost_ns() const;
 
-  /// Young/Daly interval from the current estimates (model per the
-  /// `ckpt.planner.model` cvar); 0 while MTBF or save cost is unknown.
-  [[nodiscard]] std::int64_t planned_interval_ns() const;
-
-  /// The interval the `ckpt.interval.*` cvars currently ask for: the fixed
-  /// interval in "fixed" mode, the planned one (with fixed fallback) in
-  /// "planned" mode. 0 = no time-based cadence configured.
+  /// daly(save cost, MTBF) from the current estimates; 0 while either is
+  /// unknown (Checkpointer::should_save then fires on every call).
   [[nodiscard]] std::int64_t effective_interval_ns() const;
 
   [[nodiscard]] std::uint64_t failures() const;
@@ -58,13 +48,12 @@ class IntervalPlanner {
   /// Forget all measurements (tests isolate themselves with this).
   void reset();
 
-  /// Pure planner math, exposed for unit tests.
-  static std::int64_t young(std::int64_t save_cost_ns, std::int64_t mtbf_ns);
+  /// Pure planner math, exposed for unit tests; 0 when either input is 0.
   static std::int64_t daly(std::int64_t save_cost_ns, std::int64_t mtbf_ns);
 };
 
 /// The process-wide planner (created on first use, registered with the
-/// obs pvar/cvar namespace, immortal).
+/// obs pvar namespace, immortal).
 IntervalPlanner& planner();
 
 }  // namespace sessmpi::ckpt

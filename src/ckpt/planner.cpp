@@ -1,4 +1,4 @@
-// Young/Daly checkpoint-interval planner (see planner.hpp). All state
+// Daly checkpoint-interval planner (see planner.hpp). All state
 // lives behind one mutex in an immortal singleton; the obs gauges read
 // through the same lock, so TSan sees a clean picture even while rank
 // threads feed failures concurrently.
@@ -7,9 +7,7 @@
 
 #include <cmath>
 #include <mutex>
-#include <string>
 
-#include "sessmpi/base/error.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/obs/tvar.hpp"
 
@@ -23,10 +21,6 @@ struct PlannerState {
   std::int64_t first_failure_ns = 0;
   std::int64_t last_failure_ns = 0;
   std::int64_t save_cost_ns = 0;  // EWMA, alpha = 1/4
-  // Cvar-backed knobs.
-  std::string mode = "fixed";
-  std::string model = "young";
-  std::int64_t fixed_ns = 0;
 };
 
 PlannerState& state() {
@@ -44,59 +38,6 @@ void register_tvars(IntervalPlanner* p) {
   obs::register_pvar_gauge("ckpt.planner.save_cost_ns", [p] {
     return static_cast<std::uint64_t>(p->save_cost_ns());
   });
-  obs::register_cvar(
-      "ckpt.interval.mode",
-      "checkpoint cadence source: \"fixed\" (ckpt.interval.fixed_ns) or "
-      "\"planned\" (Young/Daly from measured MTBF + save cost)",
-      [] {
-        std::lock_guard lk(state().mu);
-        return state().mode;
-      },
-      [](const std::string& v) {
-        if (v != "fixed" && v != "planned") {
-          return false;
-        }
-        std::lock_guard lk(state().mu);
-        state().mode = v;
-        return true;
-      });
-  obs::register_cvar(
-      "ckpt.interval.fixed_ns",
-      "fixed checkpoint interval in ns (0 = no time-based cadence); also "
-      "the planned-mode fallback until the planner has data",
-      [] {
-        std::lock_guard lk(state().mu);
-        return std::to_string(state().fixed_ns);
-      },
-      [](const std::string& v) {
-        try {
-          const std::int64_t ns = std::stoll(v);
-          if (ns < 0) {
-            return false;
-          }
-          std::lock_guard lk(state().mu);
-          state().fixed_ns = ns;
-          return true;
-        } catch (...) {
-          return false;
-        }
-      });
-  obs::register_cvar(
-      "ckpt.planner.model",
-      "interval model: \"young\" (sqrt(2*delta*M)) or \"daly\" "
-      "(higher-order correction)",
-      [] {
-        std::lock_guard lk(state().mu);
-        return state().model;
-      },
-      [](const std::string& v) {
-        if (v != "young" && v != "daly") {
-          return false;
-        }
-        std::lock_guard lk(state().mu);
-        state().model = v;
-        return true;
-      });
 }
 
 }  // namespace
@@ -139,15 +80,6 @@ std::int64_t IntervalPlanner::save_cost_ns() const {
   return state().save_cost_ns;
 }
 
-std::int64_t IntervalPlanner::young(std::int64_t save_cost_ns,
-                                    std::int64_t mtbf_ns) {
-  if (save_cost_ns <= 0 || mtbf_ns <= 0) {
-    return 0;
-  }
-  return static_cast<std::int64_t>(std::sqrt(
-      2.0 * static_cast<double>(save_cost_ns) * static_cast<double>(mtbf_ns)));
-}
-
 std::int64_t IntervalPlanner::daly(std::int64_t save_cost_ns,
                                    std::int64_t mtbf_ns) {
   if (save_cost_ns <= 0 || mtbf_ns <= 0) {
@@ -165,32 +97,8 @@ std::int64_t IntervalPlanner::daly(std::int64_t save_cost_ns,
   return tau > 0 ? static_cast<std::int64_t>(tau) : mtbf_ns;
 }
 
-std::int64_t IntervalPlanner::planned_interval_ns() const {
-  std::string model;
-  {
-    std::lock_guard lk(state().mu);
-    model = state().model;
-  }
-  const std::int64_t d = save_cost_ns();
-  const std::int64_t m = mtbf_ns();
-  return model == "daly" ? daly(d, m) : young(d, m);
-}
-
 std::int64_t IntervalPlanner::effective_interval_ns() const {
-  std::string mode;
-  std::int64_t fixed;
-  {
-    std::lock_guard lk(state().mu);
-    mode = state().mode;
-    fixed = state().fixed_ns;
-  }
-  if (mode == "planned") {
-    const std::int64_t planned = planned_interval_ns();
-    if (planned > 0) {
-      return planned;
-    }
-  }
-  return fixed;
+  return daly(save_cost_ns(), mtbf_ns());
 }
 
 std::uint64_t IntervalPlanner::failures() const {

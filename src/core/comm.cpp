@@ -34,6 +34,20 @@ const std::shared_ptr<CommState>& checked(
   return s;
 }
 
+/// A communicator over `grp` on a fresh PGCID; raises through `errh` when
+/// the runtime cannot provide one.
+std::shared_ptr<CommState> fresh_comm(ProcState& ps, const Errhandler& errh,
+                                      const Group& grp,
+                                      const std::string& context) {
+  auto comm = ps.register_fresh_comm(grp, context);
+  if (!comm.ok()) {
+    errh.raise(ErrClass::other,
+               "PGCID acquisition failed: " +
+                   std::string(err_class_name(comm.error())));
+  }
+  return std::move(comm.value());
+}
+
 std::vector<int> all_ranks(int n) {
   std::vector<int> v(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -67,20 +81,7 @@ Communicator Communicator::create_from_group(const Group& group,
   // Fig. 1 path: the runtime (PMIx) provides a fresh PGCID; the exCID is
   // derived locally from it. The string tag keeps concurrent creations from
   // overlapping groups apart.
-  auto pgcid = ps.pmix().acquire_pgcid(group.members(), "cfg:" + tag);
-  if (!pgcid.ok()) {
-    errh.raise(ErrClass::other, "PGCID acquisition failed: " +
-                                    std::string(err_class_name(pgcid.error())));
-  }
-  {
-    std::lock_guard lock(ps.mu);
-    ++ps.pgcids;
-  }
-  auto comm = [&] {
-    OBS_SPAN("cid.excid_alloc", "core");
-    return ps.register_comm(group, ExCidSpace::fresh(pgcid.value()),
-                            /*uses_excid=*/true, std::nullopt);
-  }();
+  auto comm = fresh_comm(ps, errh, group, "cfg:" + tag);
   comm->errh = errh;
   comm->comm_name = "from_group:" + tag;
   return Communicator{std::move(comm)};
@@ -214,7 +215,6 @@ Status Communicator::probe(int src, int tag) const {
   const auto& s = checked(state_);
   ProcState& ps = *s->ps;
   Status st;
-  bool found = false;
   ps.progress_until([&] {
     std::lock_guard lock(ps.mu);
     const fabric::Packet* pkt = s->unexpected.peek_match(src, tag);
@@ -227,10 +227,8 @@ Status Communicator::probe(int src, int tag) const {
                              pkt->kind == fabric::PacketKind::rndv_rts_ext
                          ? pkt->advertised_size
                          : pkt->payload.size();
-    found = true;
     return true;
   });
-  (void)found;
   return st;
 }
 
@@ -300,18 +298,9 @@ Communicator Communicator::dup() const {
     } else {
       // Subfield space exhausted (or derivation disabled, as in the
       // prototype's measured Fig. 4 path): acquire a fresh PGCID.
-      auto pgcid = ps.pmix().acquire_pgcid(
-          s->grp.members(),
-          "dup:" + s->excid_space.id().str() + ":" + std::to_string(seq));
-      if (!pgcid.ok()) {
-        s->errh.raise(ErrClass::other, "PGCID acquisition failed in dup");
-      }
-      {
-        std::lock_guard lock(ps.mu);
-        ++ps.pgcids;
-      }
-      child = ps.register_comm(s->grp, ExCidSpace::fresh(pgcid.value()),
-                               /*uses_excid=*/true, std::nullopt);
+      child = fresh_comm(ps, s->errh, s->grp,
+                         "dup:" + s->excid_space.id().str() + ":" +
+                             std::to_string(seq));
     }
   }
   child->errh = s->errh;
@@ -385,19 +374,9 @@ Communicator Communicator::split(int color, int key) const {
   for (const Entry& e : members) {
     globals.push_back(s->global_of(static_cast<int>(e.rank)));
   }
-  Group subgroup = Group::of(globals);
-  auto pgcid = ps.pmix().acquire_pgcid(
-      subgroup.members(),
+  auto child = fresh_comm(
+      ps, s->errh, Group::of(std::move(globals)),
       "split:" + std::to_string(color) + ":" + std::to_string(seq));
-  if (!pgcid.ok()) {
-    s->errh.raise(ErrClass::other, "PGCID acquisition failed in split");
-  }
-  {
-    std::lock_guard lock(ps.mu);
-    ++ps.pgcids;
-  }
-  auto child = ps.register_comm(subgroup, ExCidSpace::fresh(pgcid.value()),
-                                /*uses_excid=*/true, std::nullopt);
   child->errh = s->errh;
   child->comm_name = s->comm_name + "(split:" + std::to_string(color) + ")";
   return Communicator{std::move(child)};
@@ -411,17 +390,8 @@ Communicator Communicator::create_group(const Group& subgroup, int tag) const {
   }
   // Paper §III-B3: when not all processes participate, a new PGCID is
   // acquired (the consensus fallback would need the full parent).
-  auto pgcid = ps.pmix().acquire_pgcid(subgroup.members(),
-                                       "ccg:" + std::to_string(tag));
-  if (!pgcid.ok()) {
-    s->errh.raise(ErrClass::other, "PGCID acquisition failed in create_group");
-  }
-  {
-    std::lock_guard lock(ps.mu);
-    ++ps.pgcids;
-  }
-  auto child = ps.register_comm(subgroup, ExCidSpace::fresh(pgcid.value()),
-                                /*uses_excid=*/true, std::nullopt);
+  auto child =
+      fresh_comm(ps, s->errh, subgroup, "ccg:" + std::to_string(tag));
   child->errh = s->errh;
   child->comm_name = s->comm_name + "(create_group)";
   return Communicator{std::move(child)};

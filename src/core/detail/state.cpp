@@ -4,6 +4,7 @@
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/log.hpp"
+#include "sessmpi/obs/trace.hpp"
 
 namespace sessmpi::detail {
 
@@ -206,6 +207,21 @@ std::shared_ptr<CommState> ProcState::register_comm(
     }
   }
   return comm;
+}
+
+base::Result<std::shared_ptr<CommState>> ProcState::register_fresh_comm(
+    const Group& grp, const std::string& context) {
+  auto pgcid = pmix().acquire_pgcid(grp.members(), context);
+  if (!pgcid.ok()) {
+    return pgcid.error();
+  }
+  {
+    std::lock_guard lock(mu);
+    ++pgcids;
+  }
+  OBS_SPAN("cid.excid_alloc", "core");
+  return register_comm(grp, ExCidSpace::fresh(pgcid.value()),
+                       /*uses_excid=*/true, std::nullopt);
 }
 
 void ProcState::unregister_comm(CommState& comm) {

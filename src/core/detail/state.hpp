@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sessmpi/base/result.hpp"
 #include "sessmpi/base/slot_allocator.hpp"
 #include "sessmpi/comm.hpp"
 #include "sessmpi/constants.hpp"
@@ -475,6 +476,11 @@ struct ProcState {
                                            ExCidSpace space, bool uses_excid,
                                            std::optional<std::uint16_t> fixed_cid,
                                            bool already_claimed = false);
+  /// register_comm on a fresh PGCID, which every member of `grp` acquires
+  /// from the runtime in one collective under the signature `context`.
+  /// Returns the acquisition's error class (nothing registered) on failure.
+  base::Result<std::shared_ptr<CommState>> register_fresh_comm(
+      const Group& grp, const std::string& context);
   void unregister_comm(CommState& comm);
 
   std::uint64_t new_token_locked() { return next_token++; }

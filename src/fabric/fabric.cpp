@@ -91,9 +91,8 @@ Fabric::Fabric(base::Topology topo, base::CostModel cost, ReliabilityConfig rel)
     : topo_(topo),
       cost_(cost),
       rel_(rel),
-      cc_(rel.cc ? *rel.cc : cc_config_from_cvars()),
       failed_(static_cast<std::size_t>(topo.size())) {
-  cc_.rails = std::clamp(cc_.rails, 1, kMaxRails);
+  rel_.cc.rails = std::clamp(rel_.cc.rails, 1, kMaxRails);
   const auto n = static_cast<std::size_t>(topo_.size());
   endpoints_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -215,7 +214,7 @@ Fabric::Flow& Fabric::flow(Rank src, Rank dst, std::uint8_t rail) {
       return *it->second;
     }
   }
-  auto fresh = std::make_unique<Flow>(src, dst, rail, cc_);
+  auto fresh = std::make_unique<Flow>(src, dst, rail, rel_.cc);
   Flow* raw = fresh.get();
   {
     std::lock_guard lock(shard.mu);
@@ -292,9 +291,9 @@ void Fabric::send(Packet&& packet) {
     transmit(std::move(packet), /*charge_wire=*/true);
     return;
   }
-  if (cc_.rails > 1 && packet.kind == PacketKind::rndv_data &&
+  if (rel_.cc.rails > 1 && packet.kind == PacketKind::rndv_data &&
       !packet.is_striped() &&
-      packet.payload.size() >= cc_.stripe_threshold) {
+      packet.payload.size() >= rel_.cc.stripe_threshold) {
     // Bulk rendezvous data is the only striped kind: it is matched by
     // token, not arrival order, so per-rail flows cannot reorder it past
     // the MPI non-overtaking guarantee the eager/RTS path depends on.
@@ -374,7 +373,7 @@ void Fabric::send_striped(Packet&& packet) {
   const Rank src = packet.src_rank;
   const Rank dst = packet.dst_rank;
   const std::size_t total = packet.payload.size();
-  const auto nseg = static_cast<std::size_t>(cc_.rails);
+  const auto nseg = static_cast<std::size_t>(rel_.cc.rails);
   OBS_SPAN_ARG("fabric.send_striped", "fabric", total);
   std::uint64_t rev_cum = 0;
   if (Flow* rev = flow_if_exists(dst, src)) {
@@ -731,7 +730,7 @@ void Fabric::flush_ack(Flow& f) {
     ack.flow.ece = f.ece_rx_pending;  // echo CE marks seen since last ack
     f.ece_rx_pending = false;
     for (const auto& [seq, held] : f.reorder) {
-      if (ack.sack.size() >= rel_.max_sack_entries) {
+      if (ack.sack.size() >= kMaxSackEntries) {
         break;
       }
       ack.sack.push_back(seq);

@@ -3,15 +3,16 @@
 // Per-flow congestion control for the reliable-delivery sublayer
 // (DESIGN.md §17). Every (src,dst,rail) flow owns a CcState running one
 // TCP-NewReno-shaped engine: slow start from IW, ssthresh halving + fast
-// retransmit on triple-dup ACK (SACK holes are plugged immediately),
-// additive increase of ~1 packet per ACKed cwnd in avoidance, and a
-// multiplicative decrease on an ECN echo. Tail losses that raise no
-// dup-acks are repaired by the Fabric's tail-loss probe; the RTO is the
-// last resort.
+// retransmit on the kDupAckThreshold'th duplicate ACK (SACK holes are
+// plugged immediately), additive increase of ~1 packet per ACKed cwnd in
+// avoidance, and a multiplicative decrease on an ECN echo. Tail losses
+// that raise no dup-acks are repaired by the Fabric's tail-loss probe;
+// the RTO is the last resort.
 //
 // CcState is pure state-machine logic — no locks, no clocks, no wire — so
 // the unit tests drive transitions directly with synthetic acks. The Fabric
-// serializes calls under the owning flow's mutex.
+// serializes calls under the owning flow's mutex. Its CcConfig comes from
+// ReliabilityConfig::cc, the one source of the window and rail policy.
 
 #include <algorithm>
 #include <cstddef>
@@ -23,6 +24,9 @@ namespace sessmpi::fabric {
 /// the modeled 12-byte flow header (DESIGN.md §17 wire format).
 inline constexpr int kMaxRails = 4;
 
+/// Consecutive duplicate ACKs that trigger fast retransmit (RFC 5681).
+inline constexpr int kDupAckThreshold = 3;
+
 struct CcConfig {
   /// Slow-start initial window (packets), RFC 6928-style IW10.
   std::uint32_t initial_window = 10;
@@ -30,8 +34,6 @@ struct CcConfig {
   std::uint32_t min_cwnd = 2;
   /// Cap on cwnd growth (packets). Bounds sender-side window memory.
   std::uint32_t max_cwnd = 4096;
-  /// Consecutive duplicate ACKs that trigger fast retransmit.
-  int dupack_threshold = 3;
   /// Rails (per-pair endpoints) available for striping; 1 = striping off.
   int rails = 1;
   /// Messages at or above this payload size are striped across `rails`
@@ -106,14 +108,14 @@ class CcState {
 
   /// A duplicate ack (explicit flow_ack whose cumulative ack did not move
   /// while data is in flight). Returns true when the caller should fast-
-  /// retransmit the unSACKed holes: on the dupack_threshold'th duplicate
+  /// retransmit the unSACKed holes: on the kDupAckThreshold'th duplicate
   /// (entering fast recovery), and on every further duplicate while in
   /// recovery (SACK keeps exposing new holes).
   [[nodiscard]] bool on_dup_ack(std::uint64_t highest_sent) {
     if (phase_ == CcPhase::recovery) {
       return true;
     }
-    if (++dup_acks_ < cfg_.dupack_threshold) {
+    if (++dup_acks_ < kDupAckThreshold) {
       return false;
     }
     multiplicative_decrease();
@@ -184,20 +186,5 @@ class CcState {
   std::uint64_t recover_seq_ = 0;   ///< loss episode tail (NewReno "recover")
   std::uint64_t ecn_guard_seq_ = 0;  ///< one ECN decrease per window guard
 };
-
-/// Idempotent registration of the fabric cvars (fabric.rails,
-/// fabric.stripe_threshold, fabric.ecn_threshold_ns) in the MPI_T
-/// namespace. Called by the Fabric constructor and by benches that set the
-/// knobs before constructing a cluster.
-void register_fabric_cvars();
-
-/// Current process-global striping defaults from the cvars. A Fabric
-/// snapshots this at construction unless its ReliabilityConfig carries an
-/// explicit override.
-[[nodiscard]] CcConfig cc_config_from_cvars();
-
-/// Modeled link-queue depth (ns of backlog) above which the sim sets the
-/// CE bit; 0 disables marking. From the fabric.ecn_threshold_ns cvar.
-[[nodiscard]] std::int64_t ecn_threshold_ns_from_cvars();
 
 }  // namespace sessmpi::fabric

@@ -33,8 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include <optional>
-
 #include "sessmpi/base/backoff.hpp"
 #include "sessmpi/base/cost_model.hpp"
 #include "sessmpi/base/error.hpp"
@@ -60,9 +58,12 @@ class Endpoint {
   std::atomic<std::uint64_t> delivered_{0};
 };
 
-/// Reliability policy knobs. Defaults are sized for the calibrated cost
-/// model (wire latencies of 0.2–0.6 ms): the RTO comfortably exceeds one
-/// wire time plus the ACK-flush tick, so lossless runs never retransmit.
+/// Cap on selective-ACK entries carried by one flow_ack packet.
+inline constexpr std::size_t kMaxSackEntries = 16;
+
+/// Reliability policy. Defaults are sized for the calibrated cost model
+/// (wire latencies of 0.2–0.6 ms): the RTO comfortably exceeds one wire
+/// time plus the ACK-flush tick, so lossless runs never retransmit.
 struct ReliabilityConfig {
   /// Pump period: retransmit / tail-loss-probe scan granularity.
   std::int64_t tick_ns = 1'000'000;  // 1 ms
@@ -73,13 +74,9 @@ struct ReliabilityConfig {
   /// Consecutive unacknowledged (re)transmissions before the destination is
   /// declared unreachable (mark_failed + unreachable callback).
   int max_retries = 10;
-  /// Cap on selective-ACK entries carried by one flow_ack packet.
-  std::size_t max_sack_entries = 16;
-  /// Congestion window + striping policy (DESIGN.md §17). nullopt means
-  /// "snapshot the fabric.rails / fabric.stripe_threshold cvars at
-  /// construction" — tests and benches that want a specific window or rail
-  /// count set this directly.
-  std::optional<CcConfig> cc;
+  /// Congestion window + striping policy (DESIGN.md §17); `cc.rails` is
+  /// clamped to [1, kMaxRails] at construction.
+  CcConfig cc;
 };
 
 /// A chaos filter slot that is safe to install, swap, or clear while
@@ -170,9 +167,6 @@ class Fabric {
   /// multiplicative decrease without waiting for loss (DESIGN.md §17).
   /// Same mid-run swap guarantees as the chaos filters.
   void set_ce_marker(PacketFilter marker);
-
-  /// The congestion/striping policy this fabric resolved at construction.
-  [[nodiscard]] const CcConfig& cc_config() const noexcept { return cc_; }
 
   /// Block until every unacked window, reorder buffer, held (reordered)
   /// packet, and pending ACK has drained, or `timeout` elapses. Returns
@@ -356,7 +350,6 @@ class Fabric {
   base::Topology topo_;
   base::CostModel cost_;
   ReliabilityConfig rel_;
-  CcConfig cc_;  ///< resolved at construction (rel_.cc or the cvars)
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   /// Lazy flow table, sharded by (src,dst) hash to keep first-touch
   /// creation off a single global lock. Values are heap-owned so Flow*

@@ -114,20 +114,15 @@ Communicator Communicator::shrink() const {
     // 2. Regular exCID construction over the survivors. A death inside the
     // PGCID collective aborts uniformly (rte_proc_failed for everyone), so
     // all survivors loop back and re-agree together.
-    auto pgcid = ps.pmix().acquire_pgcid(
-        globals, "shrink:" + s->excid_space.id().str() + ":" +
-                     std::to_string(seq0) + ":" + std::to_string(attempt));
-    if (!pgcid.ok()) {
+    auto fresh = ps.register_fresh_comm(
+        Group::of(std::move(globals)),
+        "shrink:" + s->excid_space.id().str() + ":" + std::to_string(seq0) +
+            ":" + std::to_string(attempt));
+    if (!fresh.ok()) {
       base::counters().add("ft.shrink_retries");
       continue;
     }
-    {
-      std::lock_guard lock(ps.mu);
-      ++ps.pgcids;
-    }
-    auto child = ps.register_comm(Group::of(std::move(globals)),
-                                  ExCidSpace::fresh(pgcid.value()),
-                                  /*uses_excid=*/true, std::nullopt);
+    auto child = std::move(fresh.value());
     child->errh = s->errh;
     child->comm_name = s->comm_name + "(shrink)";
     return detail_wrap(std::move(child));

@@ -54,14 +54,10 @@ Cluster::Cluster(Options opts)
   fabric_.set_unreachable_callback(
       [this](Rank r) { dvm_.pmix().notify_proc_failed(r); });
   // ECN: charge every sequenced inter-node packet against a modeled link
-  // and mark CE once the backlog crosses the threshold (DESIGN.md §17).
-  const std::int64_t ecn_threshold =
-      opts.ecn_threshold_ns ? *opts.ecn_threshold_ns
-                            : fabric::ecn_threshold_ns_from_cvars();
-  if (ecn_threshold > 0 && opts.topo.num_nodes > 1) {
+  // and mark CE once the backlog crosses kEcnThresholdNs (DESIGN.md §17).
+  if (opts.topo.num_nodes > 1) {
     link_load_ = std::make_unique<LinkLoad>();
-    fabric_.set_ce_marker(
-        make_ce_marker(*link_load_, opts.topo, opts.cost, ecn_threshold));
+    fabric_.set_ce_marker(make_ce_marker(*link_load_, opts.topo, opts.cost));
   }
 }
 

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,13 +80,8 @@ class Cluster {
     base::CostModel cost = base::CostModel::calibrated();
     /// Fabric reliable-delivery policy (RTO, backoff, retry cap). Tests
     /// shorten the timescales; the defaults fit the calibrated cost model.
-    /// `reliability.cc` additionally selects the congestion-control engine
-    /// and striping policy (nullopt = snapshot the fabric.* cvars).
+    /// `reliability.cc` sizes the congestion window and the striping rails.
     fabric::ReliabilityConfig reliability;
-    /// ECN marking threshold override: modeled inter-node link backlog (ns)
-    /// above which packets get the CE bit. nullopt = the
-    /// fabric.ecn_threshold_ns cvar; 0 disables marking.
-    std::optional<std::int64_t> ecn_threshold_ns;
     std::vector<std::pair<std::string, std::vector<pmix::ProcId>>> extra_psets;
     /// Per-rank simulated clock skew (ns), index = rank; shorter vectors
     /// leave the remaining ranks unskewed. Applied to trace timestamps at

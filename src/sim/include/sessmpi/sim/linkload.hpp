@@ -8,7 +8,7 @@
 // link it crosses — keyed (src_node, dst_node, rail), since rails are
 // distinct physical paths — by advancing a per-link busy-until horizon.
 // The charge returns the backlog the packet found queued ahead of it; when
-// that exceeds the configured threshold the fabric sets the CE bit in the
+// that exceeds kEcnThresholdNs the fabric sets the CE bit in the
 // packet's flow header, the receiver echoes ECE in its next flow_ack, and
 // the sender's congestion window does a multiplicative decrease without
 // waiting for an actual loss.
@@ -39,14 +39,17 @@ class LinkLoad {
   std::unordered_map<std::uint64_t, std::int64_t> busy_until_;
 };
 
+/// Modeled link backlog above which a packet gets the CE bit: 2 ms, a few
+/// bulk segments deep at the calibrated inter-node bandwidth and far above
+/// anything a healthy flow queues.
+inline constexpr std::int64_t kEcnThresholdNs = 2'000'000;
+
 /// A Fabric CE marker (set_ce_marker) backed by `load`: charges each
 /// sequenced packet's serialization against its modeled link and answers
-/// whether the backlog crossed `threshold_ns`. `load` must outlive the
-/// fabric the marker is installed on. threshold_ns <= 0 disables marking
-/// (returns a null filter).
+/// whether the backlog crossed kEcnThresholdNs. `load` must outlive the
+/// fabric the marker is installed on.
 fabric::Fabric::PacketFilter make_ce_marker(LinkLoad& load,
                                             const base::Topology& topo,
-                                            const base::CostModel& cost,
-                                            std::int64_t threshold_ns);
+                                            const base::CostModel& cost);
 
 }  // namespace sessmpi::sim

@@ -32,12 +32,8 @@ std::int64_t LinkLoad::charge(int src_node, int dst_node, std::uint8_t rail,
 
 fabric::Fabric::PacketFilter make_ce_marker(LinkLoad& load,
                                             const base::Topology& topo,
-                                            const base::CostModel& cost,
-                                            std::int64_t threshold_ns) {
-  if (threshold_ns <= 0) {
-    return nullptr;
-  }
-  return [&load, topo, cost, threshold_ns](const fabric::Packet& pkt) {
+                                            const base::CostModel& cost) {
+  return [&load, topo, cost](const fabric::Packet& pkt) {
     if (topo.same_node(pkt.src_rank, pkt.dst_rank)) {
       return false;  // shared memory has no switch queue to mark
     }
@@ -46,7 +42,7 @@ fabric::Fabric::PacketFilter make_ce_marker(LinkLoad& load,
     const std::int64_t backlog =
         load.charge(topo.node_of(pkt.src_rank), topo.node_of(pkt.dst_rank),
                     pkt.flow.rail, base::now_ns(), serialization);
-    return backlog > threshold_ns;
+    return backlog > kEcnThresholdNs;
   };
 }
 

@@ -15,14 +15,17 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "../core/harness.hpp"
+#include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/capi.hpp"
 #include "sessmpi/ft/ft.hpp"
+#include "sessmpi/sim/scheduler.hpp"
 
 namespace sessmpi {
 namespace {
@@ -467,6 +470,60 @@ TEST(Ckpt, FilesystemSpillRecoversWhenOwnerAndPartnerBothDie) {
   EXPECT_EQ(from_fs, 2);
   EXPECT_EQ(from_parity, 1);
   EXPECT_GE(base::counters().value("ckpt.fs_rebuilds"), fs_before + 2);
+}
+
+TEST(Ckpt, DrainFenceParksItsFiberNotItsWorker) {
+  // One fiber worker carries the rank and a ticker. The rank's spill takes
+  // ~200 ms on a slowed SimFs; while the rank waits for it in
+  // drain_fence(), the ticker on the same worker must keep finishing 1 ms
+  // iterations. A fence that blocked the worker thread would stall it
+  // until the spill ended.
+  constexpr std::size_t kBytes = 64 * 1024;
+  sim::Cluster cluster{testing::zero_opts(1, 1)};
+  cluster.fs().set_write_delay_ns_per_byte(3'000);
+  sim::Process& proc = cluster.process(0);
+  std::atomic<bool> fencing{false};
+  std::atomic<bool> fenced{false};
+  std::int64_t fence_ns = 0;
+  int ticks = 0;
+
+  std::optional<sim::ProcessAdopter> bound;
+  std::vector<sim::FiberTask> tasks(2);
+  tasks[0].on_resume = [&] { bound.emplace(proc); };
+  tasks[0].on_suspend = [&] { bound.reset(); };
+  tasks[0].body = [&] {
+    cluster.dvm().attach_process(0);
+    init();
+    {
+      std::vector<std::uint8_t> data = payload(0, 1, kBytes);
+      ckpt::Config cfg;
+      cfg.spill_to_fs = true;
+      ckpt::Checkpointer ck("fence-park", cfg);
+      ck.register_dataset("data", data.data(), data.size());
+      ck.save(comm_world());
+      fencing.store(true);
+      const std::int64_t t0 = base::now_ns();
+      EXPECT_TRUE(ck.drain_fence());
+      fence_ns = base::now_ns() - t0;
+      fenced.store(true);
+    }
+    finalize();
+  };
+  tasks[1].body = [&] {
+    while (!fencing.load()) {
+      base::precise_delay(100'000);
+    }
+    while (!fenced.load()) {
+      base::precise_delay(1'000'000);
+      ++ticks;
+    }
+  };
+  sim::FiberPool::Options opts;
+  opts.workers = 1;
+  sim::FiberPool::run(std::move(tasks), opts);
+
+  EXPECT_GE(fence_ns, 100'000'000);  // the spill really was slow
+  EXPECT_GE(ticks, 20);
 }
 
 }  // namespace

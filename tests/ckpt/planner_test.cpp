@@ -1,7 +1,7 @@
 // Interval-planner unit tests: MTBF estimation from observed failures,
-// the Young/Daly closed forms, the cvar-driven mode switch, and the
-// should_save() cadence helper. The planner is process-global, so every
-// test resets it on entry and exit.
+// the Daly closed form, the interval it plans from those measurements,
+// and the should_save() cadence helper. The planner is process-global, so
+// every test resets it on entry and exit.
 
 #include "sessmpi/ckpt/planner.hpp"
 
@@ -18,13 +18,8 @@ namespace {
 
 class PlannerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    planner().reset();
-    obs::cvar_write("ckpt.interval.mode", "fixed");
-    obs::cvar_write("ckpt.interval.fixed_ns", "0");
-    obs::cvar_write("ckpt.planner.model", "young");
-  }
-  void TearDown() override { SetUp(); }
+  void SetUp() override { planner().reset(); }
+  void TearDown() override { planner().reset(); }
 };
 
 TEST_F(PlannerTest, MtbfNeedsTwoFailures) {
@@ -48,69 +43,59 @@ TEST_F(PlannerTest, SaveCostIsAnEwma) {
   EXPECT_EQ(planner().save_cost_ns(), 1250);
 }
 
-TEST_F(PlannerTest, YoungAndDalyClosedForms) {
+TEST_F(PlannerTest, DalyClosedForm) {
   constexpr std::int64_t delta = 2'000'000;     // 2 ms save
   constexpr std::int64_t mtbf = 1'000'000'000;  // 1 s MTBF
-  const std::int64_t y = IntervalPlanner::young(delta, mtbf);
-  EXPECT_EQ(y, static_cast<std::int64_t>(
-                   std::sqrt(2.0 * static_cast<double>(delta) *
-                             static_cast<double>(mtbf))));
-  EXPECT_EQ(IntervalPlanner::young(0, mtbf), 0);
-  EXPECT_EQ(IntervalPlanner::young(delta, 0), 0);
-
-  // Daly's higher-order correction lands near Young for small delta/M (the
-  // -delta term pulls it slightly below) and caps at M once delta >= 2M.
+  const double young = std::sqrt(2.0 * static_cast<double>(delta) *
+                                 static_cast<double>(mtbf));
+  // Daly's higher-order correction lands near Young's sqrt(2 delta M) for
+  // small delta/M (the -delta term pulls it slightly below) and caps at M
+  // once delta >= 2M, where Young's value would exceed the MTBF.
   const std::int64_t d = IntervalPlanner::daly(delta, mtbf);
-  EXPECT_GT(d, y / 2);
-  EXPECT_LT(d, y);
+  EXPECT_GT(static_cast<double>(d), young / 2);
+  EXPECT_LT(static_cast<double>(d), young);
   EXPECT_EQ(IntervalPlanner::daly(2 * mtbf, mtbf), mtbf);
   EXPECT_EQ(IntervalPlanner::daly(0, mtbf), 0);
+  EXPECT_EQ(IntervalPlanner::daly(delta, 0), 0);
 }
 
-TEST_F(PlannerTest, EffectiveIntervalFollowsModeWithFixedFallback) {
-  ASSERT_TRUE(obs::cvar_write("ckpt.interval.fixed_ns", "5000000"));
-  EXPECT_EQ(planner().effective_interval_ns(), 5'000'000);
-
-  ASSERT_TRUE(obs::cvar_write("ckpt.interval.mode", "planned"));
-  // No MTBF yet: planned mode falls back to the fixed interval.
-  EXPECT_EQ(planner().effective_interval_ns(), 5'000'000);
-
+TEST_F(PlannerTest, EffectiveIntervalIsPlannedFromMeasurements) {
+  // Nothing measured: no interval, so should_save() fires on every call.
+  EXPECT_EQ(planner().effective_interval_ns(), 0);
   planner().note_save_cost(1'000'000);
+  EXPECT_EQ(planner().effective_interval_ns(), 0);  // no MTBF yet
   planner().note_failure(0);
   planner().note_failure(100'000'000);
   EXPECT_EQ(planner().effective_interval_ns(),
-            IntervalPlanner::young(1'000'000, 100'000'000));
-  ASSERT_TRUE(obs::cvar_write("ckpt.planner.model", "daly"));
-  EXPECT_EQ(planner().effective_interval_ns(),
             IntervalPlanner::daly(1'000'000, 100'000'000));
-
-  // The gauges mirror the same numbers through the MPI_T surface.
-  EXPECT_EQ(obs::cvar_read("ckpt.interval.mode"), "planned");
-
-  // Bad values are rejected without changing state.
-  EXPECT_FALSE(obs::cvar_write("ckpt.planner.model", "bogus"));
-  EXPECT_FALSE(obs::cvar_write("ckpt.interval.mode", "sometimes"));
-  EXPECT_FALSE(obs::cvar_write("ckpt.interval.fixed_ns", "-3"));
-  EXPECT_FALSE(obs::cvar_write("ckpt.interval.fixed_ns", "soon"));
-  EXPECT_EQ(obs::cvar_read("ckpt.planner.model"), "daly");
+  // The gauge mirrors the same number through the MPI_T surface.
+  EXPECT_EQ(obs::pvar_read_gauge("ckpt.planner.interval_ns").value_or(0),
+            static_cast<std::uint64_t>(planner().effective_interval_ns()));
 }
 
 TEST_F(PlannerTest, ShouldSaveArmsDeadlinesFromTheEffectiveInterval) {
   Checkpointer ck("planner-cadence");
-  // No interval configured: every call says "save now".
+  // No interval planned yet: every call says "save now".
   EXPECT_TRUE(ck.should_save(0));
   EXPECT_TRUE(ck.should_save(1));
 
-  ASSERT_TRUE(obs::cvar_write("ckpt.interval.fixed_ns", "1000"));
-  EXPECT_TRUE(ck.should_save(10));  // first due call arms deadline 1010
-  EXPECT_FALSE(ck.should_save(500));
-  EXPECT_FALSE(ck.should_save(1009));
-  EXPECT_TRUE(ck.should_save(1010));  // fires and re-arms at 2010
-  EXPECT_FALSE(ck.should_save(1011));
+  // Save cost 1 us, MTBF 1 s: Daly plans an interval of ~1.41 ms.
+  planner().note_save_cost(1'000);
+  planner().note_failure(0);
+  planner().note_failure(1'000'000'000);
+  const std::int64_t tau = planner().effective_interval_ns();
+  ASSERT_GT(tau, 1'000'000);
+  EXPECT_EQ(tau, IntervalPlanner::daly(1'000, 1'000'000'000));
+  EXPECT_TRUE(ck.should_save(10));  // first due call arms deadline 10 + tau
+  EXPECT_FALSE(ck.should_save(tau / 2));
+  EXPECT_FALSE(ck.should_save(10 + tau - 1));
+  EXPECT_TRUE(ck.should_save(10 + tau));  // fires and re-arms at 10 + 2 tau
+  EXPECT_FALSE(ck.should_save(10 + tau + 1));
 
-  // Dropping the interval back to zero disarms the deadline.
-  ASSERT_TRUE(obs::cvar_write("ckpt.interval.fixed_ns", "0"));
-  EXPECT_TRUE(ck.should_save(1012));
+  // Forgetting the measurements drops the interval back to zero, which
+  // disarms the deadline.
+  planner().reset();
+  EXPECT_TRUE(ck.should_save(10 + tau + 2));
 }
 
 }  // namespace

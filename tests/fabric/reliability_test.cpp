@@ -95,7 +95,7 @@ TEST(Reliability, AdaptiveEnginesPreserveExactlyOnceUnderSeededLoss) {
   cc.initial_window = cc.min_cwnd;
   rel.cc = cc;
   auto f = make_fabric(rel);
-  ASSERT_EQ(f.cc_config().initial_window, cc.min_cwnd);
+  ASSERT_EQ(f.reliability().cc.initial_window, cc.min_cwnd);
   auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
   f.set_drop_filter(seeded_drop(counter, 0x10c5 + 17, 0.1));
   constexpr int kPackets = 400;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <optional>
 #include <thread>
 
 #include "../core/harness.hpp"
@@ -196,7 +195,7 @@ TEST(Integration, ManyCommunicatorsAcrossSessions) {
   });
 }
 
-void run_lossy_full_mpi(std::optional<fabric::CcConfig> cc) {
+void run_lossy_full_mpi(const fabric::CcConfig& cc) {
   // The reliable-delivery acceptance scenario (DESIGN.md §9): with a seeded
   // 10% drop filter installed for the WHOLE run (it is never disabled), a
   // full MPI workload — comm construction, a tagged ring exchange, a
@@ -296,7 +295,7 @@ void run_lossy_full_mpi(std::optional<fabric::CcConfig> cc) {
 }
 
 TEST(Integration, LossyLinksSurviveFullMpiRun) {
-  run_lossy_full_mpi(std::nullopt);  // window and rails from the cvars
+  run_lossy_full_mpi(fabric::CcConfig{});  // the default window, one rail
 }
 
 TEST(Integration, LossyLinksSurviveFullMpiRunUnderAimd) {

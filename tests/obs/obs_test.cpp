@@ -25,6 +25,7 @@
 #include "sessmpi/base/cost_model.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/capi.hpp"
+#include "sessmpi/ckpt/planner.hpp"
 #include "sessmpi/fabric/fabric.hpp"
 #include "sessmpi/fabric/packet.hpp"
 #include "sessmpi/mpi.hpp"
@@ -35,6 +36,7 @@
 #include "sessmpi/obs/trace_json.hpp"
 #include "sessmpi/obs/tvar.hpp"
 #include "sessmpi/sim/cluster.hpp"
+#include "sessmpi/sim/scheduler.hpp"
 
 namespace sessmpi::obs {
 namespace {
@@ -426,6 +428,38 @@ TEST(ObsTvar, BuiltinCvarsControlTheTracer) {
 
   EXPECT_FALSE(cvar_read("obs.no_such_cvar").has_value());
   EXPECT_FALSE(cvar_write("obs.no_such_cvar", "1"));
+}
+
+TEST(ObsTvar, CvarInventoryIsOneSettingPerLayerThatReadsIt) {
+  // Touch every layer that could register a cvar: a two-node cluster
+  // (fabric, ECN marker) running a collective (coll), the checkpoint
+  // planner and the scheduler. What is left in the MPI_T namespace is
+  // exactly the settings some run flips; every other setting has one
+  // source, the config struct of the layer that uses it (DESIGN.md §11).
+  sim::register_scheduler_cvar();
+  (void)ckpt::planner();
+  sim::Cluster::Options o;
+  o.topo = {2, 1};
+  o.cost = base::CostModel::zero();
+  {
+    sim::Cluster cluster{o};
+    cluster.run([](sim::Process&) {
+      init();
+      std::int64_t one = 1;
+      std::int64_t sum = 0;
+      comm_world().allreduce(&one, &sum, 1, Datatype::int64(), Op::sum());
+      EXPECT_EQ(sum, 2);
+      finalize();
+    });
+  }
+  std::set<std::string> names;
+  for (const CvarDesc& c : cvar_list()) {
+    names.insert(c.name);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "coll.algorithm", "obs.metrics.period_ms",
+                       "obs.postmortem.dir", "obs.trace.enabled",
+                       "obs.trace.ring_events", "sim.scheduler"}));
 }
 
 TEST(ObsTvar, CongestionControlGaugesAndCountersAreWired) {

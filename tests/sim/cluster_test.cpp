@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
+
+#include "sessmpi/base/stats.hpp"
+#include "sessmpi/sim/linkload.hpp"
 
 namespace sessmpi::sim {
 namespace {
@@ -111,6 +115,79 @@ TEST(Cluster, SecondRunOnSameClusterWorks) {
   cluster.run([&](Process&) { ++count; });
   cluster.run([&](Process&) { ++count; });
   EXPECT_EQ(count.load(), 4);
+}
+
+TEST(LinkLoad, ChargeReturnsTheBacklogQueuedAheadOfThePacket) {
+  LinkLoad load;
+  // Idle link: no backlog; the link is busy until 1000 + 500.
+  EXPECT_EQ(load.charge(0, 1, 0, 1'000, 500), 0);
+  // 300 ns later the first packet still has 300 ns to go; busy to 2000.
+  EXPECT_EQ(load.charge(0, 1, 0, 1'200, 500), 300);
+  // Same instant: queued behind both; busy to 2100.
+  EXPECT_EQ(load.charge(0, 1, 0, 1'200, 100), 800);
+  // The reverse direction and another rail are links of their own.
+  EXPECT_EQ(load.charge(1, 0, 0, 1'200, 100), 0);
+  EXPECT_EQ(load.charge(0, 1, 1, 1'200, 100), 0);
+  // Once the horizon passes the link is idle again; busy to 5100.
+  EXPECT_EQ(load.charge(0, 1, 0, 5'000, 100), 0);
+  EXPECT_EQ(load.charge(0, 1, 0, 5'050, 100), 50);
+}
+
+/// Ranks `senders` each send `per_sender` 256 KiB packets to `receiver`
+/// at once on a calibrated `nodes` x `ppn` cluster, which pops them all.
+/// Returns the growth of {fabric.ecn_marks, fabric.ecn_decreases}.
+std::pair<std::uint64_t, std::uint64_t> ecn_after_burst(
+    int nodes, int ppn, const std::vector<Rank>& senders, Rank receiver,
+    int per_sender) {
+  constexpr std::size_t kBytes = 256 * 1024;
+  const std::uint64_t marks0 = base::counters().value("fabric.ecn_marks");
+  const std::uint64_t decs0 = base::counters().value("fabric.ecn_decreases");
+  Cluster::Options o;
+  o.topo = {nodes, ppn};
+  Cluster cluster{o};
+  std::vector<Rank> ranks = senders;
+  ranks.push_back(receiver);
+  cluster.run_on(ranks, [&](Process& p) {
+    if (p.rank() == receiver) {
+      const auto total = senders.size() * static_cast<std::size_t>(per_sender);
+      for (std::size_t i = 0; i < total; ++i) {
+        auto got = p.endpoint().inbox().pop_wait(std::chrono::seconds(10));
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->payload.size(), kBytes);
+      }
+      return;
+    }
+    for (int i = 0; i < per_sender; ++i) {
+      fabric::Packet pkt;
+      pkt.src_rank = p.rank();
+      pkt.dst_rank = receiver;
+      pkt.match.tag = i;
+      pkt.payload = fabric::Payload(kBytes);
+      p.cluster().fabric().send(std::move(pkt));
+    }
+  });
+  return {base::counters().value("fabric.ecn_marks") - marks0,
+          base::counters().value("fabric.ecn_decreases") - decs0};
+}
+
+TEST(Cluster, ConcurrentOffNodeSendersGetEcnMarked) {
+  // Each 256 KiB packet occupies the modeled inter-node link for ~1.1 ms.
+  // Four senders on node 0 share the node 0 -> node 1 link, so its backlog
+  // grows by ~3 packet times per round and crosses the 2 ms marking
+  // threshold within the first rounds; the echoed marks then halve the
+  // senders' windows.
+  ASSERT_EQ(kEcnThresholdNs, 2'000'000);
+  const auto [marks, decreases] = ecn_after_burst(2, 4, {0, 1, 2, 3}, 4, 8);
+  EXPECT_GT(marks, 0u);
+  EXPECT_GT(decreases, 0u);
+}
+
+TEST(Cluster, OnNodeTrafficIsNeverEcnMarked) {
+  // The same burst between ranks of one node: shared memory has no switch
+  // queue, so nothing is marked even though a marker is installed.
+  const auto [marks, decreases] = ecn_after_burst(2, 5, {0, 1, 2, 3}, 4, 8);
+  EXPECT_EQ(marks, 0u);
+  EXPECT_EQ(decreases, 0u);
 }
 
 }  // namespace
