@@ -223,8 +223,20 @@ Fabric::Flow& Fabric::flow(Rank src, Rank dst, std::uint8_t rail) {
       return *it->second;  // lost the creation race
     }
   }
-  std::lock_guard lock(active_mu_);
-  active_.push_back(raw);
+  {
+    std::lock_guard lock(active_mu_);
+    active_.push_back(raw);
+  }
+  if (rail == 0) {
+    // Link the rail-0 pair for the piggyback path. Each flow of a pair is
+    // inserted before it looks for its partner, so when both are created
+    // concurrently at least one of the two finds the other and links both
+    // directions (the stores are idempotent).
+    if (Flow* rev = flow_if_exists(dst, src)) {
+      raw->reverse.store(rev, std::memory_order_release);
+      rev->reverse.store(raw, std::memory_order_release);
+    }
+  }
   return *raw;
 }
 
@@ -288,7 +300,9 @@ void Fabric::send(Packet&& packet) {
     return;
   }
   if (!packet.is_sequenced()) {
-    transmit(std::move(packet), /*charge_wire=*/true);
+    // Only a flow_ack is unsequenced; it acts on the flow it acknowledges.
+    Flow& acked = flow(packet.dst_rank, packet.src_rank, packet.flow.rail);
+    transmit(acked, std::move(packet), /*charge_wire=*/true);
     return;
   }
   if (rel_.cc.rails > 1 && packet.kind == PacketKind::rndv_data &&
@@ -304,15 +318,19 @@ void Fabric::send(Packet&& packet) {
   const Rank src = packet.src_rank;
   const Rank dst = packet.dst_rank;
   OBS_SPAN_ARG("fabric.send", "fabric", packet.payload.size());
+  // The one flow-table lookup of the send: everything below — piggyback,
+  // window, delivery, the receiver's echo and the RTO arm — reaches its
+  // flows through `f`.
+  Flow& f = flow(src, dst);
   // Piggyback the cumulative ACK for the reverse flow (data we received
-  // from dst). Deliberately does NOT clear the reverse flow's ack_pending:
-  // this packet may spend a long wall time on the wire (or be chaos-
-  // dropped), and ACK state that exists only in flight is exactly what
-  // causes spurious retransmits. The pump's explicit flow_ack is the
-  // ground truth; the piggyback just retires windows earlier for free.
-  // Piggybacks always describe the rail-0 reverse flow — control and eager
-  // traffic ride rail 0; striped rails are acked by explicit flow_acks.
-  if (Flow* rev = flow_if_exists(dst, src)) {
+  // from dst); it retires dst's window entries early, for free. It is not
+  // what the reliability layer relies on: deliver() already answered every
+  // one of those arrivals with an explicit flow_ack, and a lost one is
+  // repaired by the retransmit/duplicate path, so this read leaves the
+  // reverse flow's ack state alone. Piggybacks always describe the rail-0
+  // reverse flow — control and eager traffic ride rail 0; striped rails
+  // are acked by explicit flow_acks.
+  if (Flow* rev = f.reverse.load(std::memory_order_acquire)) {
     std::lock_guard lock(rev->mu);
     packet.flow.ack = rev->cum_delivered;
   }
@@ -320,15 +338,14 @@ void Fabric::send(Packet&& packet) {
       rel_.rto_base_ns + cost_.wire_cost(topo_.same_node(src, dst),
                                          packet.payload.size(),
                                          packet.header_bytes());
-  Flow& f = flow(src, dst);
   if (!window_packet(f, packet, rto_ns)) {
     return;  // destination died while we waited for window room
   }
   const std::uint64_t seq = packet.flow.seq;
   OBS_ASYNC_BEGIN(src, "fabric.inflight", "fabric",
                   flow_trace_id(src, dst, 0, seq), seq);
-  transmit(std::move(packet), /*charge_wire=*/true);
-  arm_entry(src, dst, 0, seq, rto_ns);
+  transmit(f, std::move(packet), /*charge_wire=*/true);
+  arm_entry(f, seq, rto_ns);
 }
 
 bool Fabric::window_packet(Flow& f, Packet& packet, std::int64_t rto_ns) {
@@ -386,6 +403,7 @@ void Fabric::send_striped(Packet&& packet) {
   const std::size_t base_len = total / nseg;
   const std::size_t rem = total % nseg;
   struct Seg {
+    Flow* flow;
     Packet pkt;
     std::int64_t rto_ns;
   };
@@ -423,7 +441,7 @@ void Fabric::send_striped(Packet&& packet) {
     OBS_ASYNC_BEGIN(src, "fabric.inflight", "fabric",
                     flow_trace_id(src, dst, seg.flow.rail, seg.flow.seq),
                     seg.flow.seq);
-    segs.push_back({std::move(seg), rto});
+    segs.push_back({&f, std::move(seg), rto});
   }
   // Rails are parallel paths: the sending thread pays the occupancy of its
   // busiest rail once, not the sum — that is the whole point of striping.
@@ -432,20 +450,17 @@ void Fabric::send_striped(Packet&& packet) {
   base::precise_delay(max_occupancy);
   const std::int64_t arrival = base::now_ns() + cost_.wire_latency(same_node);
   for (Seg& s : segs) {
-    const std::uint8_t rail = s.pkt.flow.rail;
     const std::uint64_t seq = s.pkt.flow.seq;
     s.pkt.arrival_ns = arrival;
-    transmit(std::move(s.pkt), /*charge_wire=*/false);
-    arm_entry(src, dst, rail, seq, s.rto_ns);
+    transmit(*s.flow, std::move(s.pkt), /*charge_wire=*/false);
+    arm_entry(*s.flow, seq, s.rto_ns);
   }
 }
 
 /// Start (or restart) the RTO clock on a window entry after its transmit
 /// completed. The entry may already be gone — acknowledged while the wire
 /// time was being charged — in which case there is nothing to time.
-void Fabric::arm_entry(Rank src, Rank dst, std::uint8_t rail,
-                       std::uint64_t seq, std::int64_t rto_ns) {
-  Flow& f = flow(src, dst, rail);
+void Fabric::arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns) {
   std::lock_guard lock(f.mu);
   auto it = f.window.find(seq);
   if (it == f.window.end()) {
@@ -460,7 +475,7 @@ void Fabric::arm_entry(Rank src, Rank dst, std::uint8_t rail,
 // Wire + receive path
 // ---------------------------------------------------------------------------
 
-bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
+bool Fabric::transmit(Flow& f, Packet&& pkt, bool charge_wire) {
   const std::size_t header = pkt.header_bytes();
   const std::size_t payload = pkt.payload.size();
   const std::size_t sz = header + payload;
@@ -511,32 +526,30 @@ bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
       static const auto reorders_counter = base::counter("fabric.reordered");
       reorders_counter.add();
       std::lock_guard lock(held_mu_);
-      held_.push_back(std::move(pkt));
+      held_.push_back({&f, std::move(pkt)});
       return true;
     }
   }
-  deliver(std::move(pkt));
+  deliver(f, std::move(pkt));
   return true;
 }
 
-void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
-                       std::uint64_t cum,
+void Fabric::apply_ack(Flow& f, std::uint64_t cum,
                        const std::vector<std::uint64_t>& sack, bool ece,
                        bool is_explicit) {
-  Flow& f = flow(src, dst, rail);
   std::lock_guard lock(f.mu);
   std::uint64_t newly_acked = 0;
   auto stop = f.window.upper_bound(cum);
   for (auto it = f.window.begin(); it != stop; ++it) {
-    OBS_ASYNC_END(src, "fabric.inflight", "fabric",
-                  flow_trace_id(src, dst, rail, it->first));
+    OBS_ASYNC_END(f.src, "fabric.inflight", "fabric",
+                  flow_trace_id(f.src, f.dst, f.rail, it->first));
     ++newly_acked;
   }
   f.window.erase(f.window.begin(), stop);
   for (std::uint64_t s : sack) {
     if (f.window.erase(s) != 0) {
-      OBS_ASYNC_END(src, "fabric.inflight", "fabric",
-                    flow_trace_id(src, dst, rail, s));
+      OBS_ASYNC_END(f.src, "fabric.inflight", "fabric",
+                    flow_trace_id(f.src, f.dst, f.rail, s));
       ++newly_acked;
     }
   }
@@ -554,7 +567,7 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
       static const auto ecn_dec_counter =
           base::counter("fabric.ecn_decreases");
       ecn_dec_counter.add();
-      OBS_INSTANT_ON(src, "fabric.ecn.decrease", "fabric",
+      OBS_INSTANT_ON(f.src, "fabric.ecn.decrease", "fabric",
                      f.cc.cwnd_packets());
     }
   }
@@ -607,22 +620,23 @@ void Fabric::push_to_inbox(Packet&& pkt) {
   ep.inbox_.push(std::move(pkt));
 }
 
-void Fabric::deliver(Packet&& pkt) {
+void Fabric::deliver(Flow& f, Packet&& pkt) {
   // Any packet X->Y carrying an ACK acknowledges the reverse flow (Y->X):
-  // explicit flow_acks name their rail and may echo ECN; piggybacked
-  // cumulative ACKs on data packets always describe the rail-0 reverse
-  // flow and never drive dup-ack counting.
+  // explicit flow_acks travel with the flow they acknowledge (`f`) and may
+  // echo ECN; piggybacked cumulative ACKs on data packets always describe
+  // the rail-0 reverse flow and never drive dup-ack counting.
   if (pkt.kind == PacketKind::flow_ack) {
-    apply_ack(pkt.dst_rank, pkt.src_rank, pkt.flow.rail, pkt.flow.ack,
-              pkt.sack, pkt.flow.ece, /*is_explicit=*/true);
+    apply_ack(f, pkt.flow.ack, pkt.sack, pkt.flow.ece, /*is_explicit=*/true);
     return;  // fabric-internal: never reaches the inbox
   }
   if (pkt.flow.ack > 0) {
-    apply_ack(pkt.dst_rank, pkt.src_rank, /*rail=*/0, pkt.flow.ack, {},
-              /*ece=*/false, /*is_explicit=*/false);
+    // A rail-0 sender read its piggyback through this same link, so it is
+    // set here; striped rails have none and look the rail-0 flow up.
+    Flow* rev = f.reverse.load(std::memory_order_acquire);
+    apply_ack(rev != nullptr ? *rev : flow(pkt.dst_rank, pkt.src_rank),
+              pkt.flow.ack, {}, /*ece=*/false, /*is_explicit=*/false);
   }
 
-  Flow& f = flow(pkt.src_rank, pkt.dst_rank, pkt.flow.rail);
   {
     std::lock_guard lock(f.mu);
     // Remember a CE mark until the next flow_ack echoes it (ECE) back to
@@ -748,7 +762,7 @@ void Fabric::flush_ack(Flow& f) {
                   sack_ranges);
   // ACK wire time is not charged: ACKs model piggybacked / NIC-offloaded
   // reverse traffic, keeping the pump from serializing behind wire delays.
-  transmit(std::move(ack), /*charge_wire=*/false);
+  transmit(f, std::move(ack), /*charge_wire=*/false);
 }
 
 void Fabric::escalate_unreachable(Rank dst) {
@@ -784,6 +798,7 @@ bool Fabric::pump_pass() {
   const std::uint64_t pass = pump_passes_.load(std::memory_order_relaxed);
   bool busy = false;
   struct RetransmitItem {
+    Flow* flow;
     Packet pkt;
     std::uint64_t seq;
     std::int64_t rto_ns;
@@ -795,13 +810,13 @@ bool Fabric::pump_pass() {
 
   // Reorder-injected packets held for one tick go out first: they are
   // already past the loss filters and only awaited their delay.
-  std::vector<Packet> held;
+  std::vector<Held> held;
   {
     std::lock_guard lock(held_mu_);
     held.swap(held_);
   }
-  for (Packet& p : held) {
-    deliver(std::move(p));
+  for (Held& h : held) {
+    deliver(*h.flow, std::move(h.pkt));
   }
 
   // Only flows that have ever carried traffic exist: the scan is O(active
@@ -830,7 +845,7 @@ bool Fabric::pump_pass() {
           entry.fast_retx = false;
           entry.fast_retxed = true;
           entry.deadline.arm_never();
-          to_retransmit.push_back({entry.pkt, seq, entry.rto_ns, true});
+          to_retransmit.push_back({fp, entry.pkt, seq, entry.rto_ns, true});
           continue;
         }
         // Expiry needs the wall RTO AND two completed passes since the
@@ -850,7 +865,7 @@ bool Fabric::pump_pass() {
         // Parked while the copy below waits its turn on the wire; the
         // retransmit loop re-arms it once its transmit returns.
         entry.deadline.arm_never();
-        to_retransmit.push_back({entry.pkt, seq, entry.rto_ns, false});
+        to_retransmit.push_back({fp, entry.pkt, seq, entry.rto_ns, false});
         rto_fired = true;
       }
       if (rto_fired) {
@@ -878,7 +893,7 @@ bool Fabric::pump_pass() {
             now - f.last_progress_ns >= tlp_ns) {
           f.tlp_fired = true;
           to_retransmit.push_back(
-              {last.second.pkt, last.first, last.second.rto_ns,
+              {fp, last.second.pkt, last.first, last.second.rto_ns,
                /*fast=*/false, /*tlp=*/true});
         }
       }
@@ -934,12 +949,12 @@ bool Fabric::pump_pass() {
         item.pkt.payload.size() + item.pkt.header_bytes();
     OBS_ASYNC_BEGIN2(s, "fabric.retransmit", "fabric", trace_id, item.seq,
                      retx_bytes);
-    transmit(std::move(item.pkt), /*charge_wire=*/true);
+    transmit(*item.flow, std::move(item.pkt), /*charge_wire=*/true);
     OBS_ASYNC_END(s, "fabric.retransmit", "fabric", trace_id);
     if (!item.tlp) {
       // A probe is speculative: the original RTO keeps running so a lost
       // probe costs nothing extra. Real retransmits restart the clock.
-      arm_entry(s, d, rail, item.seq, item.rto_ns);
+      arm_entry(*item.flow, item.seq, item.rto_ns);
     }
   }
 

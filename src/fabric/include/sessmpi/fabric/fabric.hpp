@@ -81,11 +81,15 @@ struct ReliabilityConfig {
 
 /// A chaos filter slot that is safe to install, swap, or clear while
 /// traffic is in flight. Readers copy the shared_ptr so an in-progress
-/// filter call survives a concurrent swap. Guarded by a mutex rather than
-/// std::atomic<std::shared_ptr>: libstdc++'s lock-bit _Sp_atomic trips
-/// ThreadSanitizer (the CI TSan job runs these suites), and the two
-/// pointer ops in the critical section are invisible next to the modeled
-/// wire time.
+/// filter call survives a concurrent swap. An installed filter is guarded
+/// by a mutex rather than std::atomic<std::shared_ptr>: libstdc++'s
+/// lock-bit _Sp_atomic trips ThreadSanitizer (the CI TSan job runs these
+/// suites). Every packet asks every slot, and most runs install nothing,
+/// so `armed_` (written under the mutex by set()) lets get() answer an
+/// empty slot without the lock or a refcount round trip. A reader that
+/// races a set() sees either the old or the new filter, as before: a
+/// clear flag reads as "before the install", a stale set flag falls
+/// through to the locked read.
 class FilterSlot {
  public:
   using Filter = std::function<bool(const Packet&)>;
@@ -94,15 +98,20 @@ class FilterSlot {
     auto next =
         f ? std::make_shared<const Filter>(std::move(f)) : nullptr;
     std::lock_guard lock(mu_);
+    armed_.store(next != nullptr, std::memory_order_release);
     ptr_ = std::move(next);
   }
   [[nodiscard]] std::shared_ptr<const Filter> get() const {
+    if (!armed_.load(std::memory_order_acquire)) {
+      return nullptr;
+    }
     std::lock_guard lock(mu_);
     return ptr_;
   }
 
  private:
   mutable std::mutex mu_;
+  std::atomic<bool> armed_{false};
   std::shared_ptr<const Filter> ptr_;
 };
 
@@ -240,13 +249,20 @@ class Fabric {
   /// the pump). One mutex guards both; it is never held across a wire
   /// delay, another flow's mutex, or an inbox wait (it IS held across the
   /// reassembly table's mutex — that lock order, flow then reassembly, is
-  /// the only nesting).
+  /// the only nesting). `reverse` is not guarded by it: it is published
+  /// once, before either flow of the pair carries data, and read lock-free.
   struct Flow {
     Flow(Rank s, Rank d, std::uint8_t r, const CcConfig& cfg)
         : src(s), dst(d), rail(r), cc(cfg) {}
     const Rank src;
     const Rank dst;
     const std::uint8_t rail;  ///< rail id; non-zero only for striped traffic
+    /// Rail-0 flows only: the rail-0 (dst,src) flow, whose cumulative ACK
+    /// this flow's data piggybacks and whose window this flow's piggybacks
+    /// retire. Linked by whichever of the two is created second (flow()),
+    /// so a flow that never existed is never created for it; null until
+    /// then.
+    std::atomic<Flow*> reverse{nullptr};
     mutable std::mutex mu;
     base::WaitWord word;  ///< window room: acks, dst death, teardown
     // --- tx (packets src -> dst) ---
@@ -297,22 +313,27 @@ class Fabric {
   /// touch: preallocating topo.size()^2 of them costs tens of GB at 16k
   /// ranks, while real traffic touches O(active peer pairs). Created flows
   /// are never destroyed before the Fabric, so the returned reference (and
-  /// the pointers in active_) stay valid for the fabric's lifetime.
+  /// the pointers in active_ and Flow::reverse) stay valid for the fabric's
+  /// lifetime. The per-packet path looks each flow up once and passes the
+  /// Flow& along.
   Flow& flow(Rank src, Rank dst, std::uint8_t rail = 0);
-  /// Lookup without materializing (piggyback-ACK reads of the reverse
-  /// flow: if it never existed, there is nothing to acknowledge).
+  /// Lookup without materializing (linking a reverse flow, and striped
+  /// piggyback reads: if it never existed, there is nothing to link or
+  /// acknowledge).
   Flow* flow_if_exists(Rank src, Rank dst, std::uint8_t rail = 0) noexcept;
   /// Stable snapshot of every materialized flow (pump/quiesce iteration).
   std::vector<Flow*> active_flows() const;
 
   /// Put `pkt` on the wire: charge the cost model on the calling thread,
-  /// apply failure/chaos/reorder filters, and deliver on survival. Returns
-  /// true when the packet reached the destination's receive path.
-  bool transmit(Packet&& pkt, bool charge_wire);
+  /// apply failure/chaos/reorder filters, and deliver on survival. `f` is
+  /// the flow the packet belongs to: its own flow for sequenced packets,
+  /// the flow it acknowledges for a flow_ack. Returns true when the packet
+  /// reached the destination's receive path.
+  bool transmit(Flow& f, Packet&& pkt, bool charge_wire);
   /// Receiver-side processing on the destination's behalf: consume ACK
   /// state, dedup/reorder sequenced packets, push deliverables to the
-  /// inbox.
-  void deliver(Packet&& pkt);
+  /// inbox. `f` as for transmit().
+  void deliver(Flow& f, Packet&& pkt);
   void push_to_inbox(Packet&& pkt);
   /// In-order release of one sequenced packet at the receiver: striped
   /// segments feed the reassembly table, everything else goes straight to
@@ -321,11 +342,11 @@ class Fabric {
   /// Merge a striped segment; pushes the logical message to the inbox once
   /// all its segments arrived.
   void reassemble(Packet&& seg);
-  /// Apply a cumulative + selective ACK to the (src,dst,rail) sender
-  /// window. `ece` echoes a CE mark; `is_explicit` distinguishes flow_acks
-  /// (which drive dup-ack counting) from piggybacked data acks (which must
-  /// not — data arrival order says nothing about ack duplication).
-  void apply_ack(Rank src, Rank dst, std::uint8_t rail, std::uint64_t cum,
+  /// Apply a cumulative + selective ACK to `f`'s sender window. `ece`
+  /// echoes a CE mark; `is_explicit` distinguishes flow_acks (which drive
+  /// dup-ack counting) from piggybacked data acks (which must not — data
+  /// arrival order says nothing about ack duplication).
+  void apply_ack(Flow& f, std::uint64_t cum,
                  const std::vector<std::uint64_t>& sack, bool ece,
                  bool is_explicit);
   /// Park until flow `f` has congestion window room, then
@@ -334,10 +355,9 @@ class Fabric {
   bool window_packet(Flow& f, Packet& packet, std::int64_t rto_ns);
   /// Split an at-or-above-threshold rndv_data across the configured rails.
   void send_striped(Packet&& packet);
-  /// Start the RTO clock on window entry `seq` after its transmit returned
-  /// (no-op when the entry was acknowledged mid-wire).
-  void arm_entry(Rank src, Rank dst, std::uint8_t rail, std::uint64_t seq,
-                 std::int64_t rto_ns);
+  /// Start the RTO clock on `f`'s window entry `seq` after its transmit
+  /// returned (no-op when the entry was acknowledged mid-wire).
+  void arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns);
   /// Emit one flow_ack for `f` if it has unacknowledged deliveries. ACK
   /// wire time is not charged: ACKs model piggybacked / NIC-offloaded
   /// reverse traffic (DESIGN.md §9).
@@ -382,8 +402,13 @@ class Fabric {
   std::mutex unreachable_mu_;
   std::function<void(Rank)> unreachable_cb_;
 
+  /// A reorder-injected packet awaiting a tick, with its own flow.
+  struct Held {
+    Flow* flow;
+    Packet pkt;
+  };
   std::mutex held_mu_;
-  std::vector<Packet> held_;  ///< reorder-injected packets awaiting a tick
+  std::vector<Held> held_;
 
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> chaos_dropped_{0};

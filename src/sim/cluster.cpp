@@ -55,7 +55,10 @@ Cluster::Cluster(Options opts)
       [this](Rank r) { dvm_.pmix().notify_proc_failed(r); });
   // ECN: charge every sequenced inter-node packet against a modeled link
   // and mark CE once the backlog crosses kEcnThresholdNs (DESIGN.md §17).
-  if (opts.topo.num_nodes > 1) {
+  // Without inter-node links, or when the cost model serializes packets in
+  // zero time, nothing can ever be marked: leave the slot empty so the
+  // per-packet path skips it.
+  if (opts.topo.num_nodes > 1 && links_can_queue(opts.cost)) {
     link_load_ = std::make_unique<LinkLoad>();
     fabric_.set_ce_marker(make_ce_marker(*link_load_, opts.topo, opts.cost));
   }

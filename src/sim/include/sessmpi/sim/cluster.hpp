@@ -101,6 +101,12 @@ class Cluster {
 
   [[nodiscard]] prte::Dvm& dvm() noexcept { return dvm_; }
   [[nodiscard]] fabric::Fabric& fabric() noexcept { return fabric_; }
+  /// The link model behind the fabric's CE marker; null when no marker is
+  /// installed (one node, or a cost model whose inter-node packets
+  /// serialize in zero time — links_can_queue()).
+  [[nodiscard]] const LinkLoad* link_load() const noexcept {
+    return link_load_.get();
+  }
   /// Shared simulated filesystem (the DVM's SimFs) — the spill target for
   /// src/ckpt filesystem-level checkpoints.
   [[nodiscard]] prte::SimFs& fs() noexcept { return dvm_.fs(); }

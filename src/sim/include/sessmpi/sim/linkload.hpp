@@ -44,6 +44,12 @@ class LinkLoad {
 /// anything a healthy flow queues.
 inline constexpr std::int64_t kEcnThresholdNs = 2'000'000;
 
+/// True when the cost model gives an inter-node packet non-zero
+/// serialization time. Only then can a link build a backlog: with zero
+/// serialization (CostModel::zero()) every charge returns 0 and no packet
+/// is ever marked, so the cluster installs no marker at all.
+[[nodiscard]] bool links_can_queue(const base::CostModel& cost);
+
 /// A Fabric CE marker (set_ce_marker) backed by `load`: charges each
 /// sequenced packet's serialization against its modeled link and answers
 /// whether the backlog crossed kEcnThresholdNs. `load` must outlive the

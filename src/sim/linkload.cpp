@@ -1,6 +1,7 @@
 #include "sessmpi/sim/linkload.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/cost_model.hpp"
@@ -28,6 +29,15 @@ std::int64_t LinkLoad::charge(int src_node, int dst_node, std::uint8_t rail,
   const std::int64_t backlog = std::max<std::int64_t>(0, busy - now_ns);
   busy = std::max(busy, now_ns) + serialization_ns;
   return backlog;
+}
+
+bool links_can_queue(const base::CostModel& cost) {
+  // The largest payload a packet can carry (StripeHeader::total_bytes is
+  // 32-bit) behind a flow header: if even that serializes in 0 ns, so does
+  // every packet.
+  return cost.wire_occupancy(/*same_node=*/false,
+                             std::numeric_limits<std::uint32_t>::max(),
+                             fabric::kFlowHeaderBytes) > 0;
 }
 
 fabric::Fabric::PacketFilter make_ce_marker(LinkLoad& load,

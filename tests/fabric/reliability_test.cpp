@@ -1,6 +1,7 @@
 // Reliable-delivery sublayer tests: exactly-once in-order delivery under
 // seeded loss, duplicate suppression, retry-exhaustion escalation, mid-run
-// filter swaps, and reordering injection (DESIGN.md §9).
+// filter swaps, reordering injection, and the per-packet path's linked
+// reverse flows (DESIGN.md §9).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -240,6 +243,112 @@ TEST(Reliability, LosslessBidirectionalTrafficStaysQuiet) {
   EXPECT_EQ(f.rto_escalations(), 0u);
   EXPECT_EQ(f.bytes_dropped(), 0u);
   EXPECT_EQ(f.unacked(), 0u);
+}
+
+TEST(Reliability, PiggybackAloneRetiresWindowsWhenEveryFlowAckIsLost) {
+  // Every explicit flow_ack is eaten, so only the piggybacked cumulative
+  // ACK on reverse data can retire a window: send() reads it through the
+  // linked reverse flow and deliver() applies it through the same link.
+  // The RTO (and with it the tail-loss probe, rto_base/8) is far beyond
+  // the loop, so any retransmit here would mean a piggyback went missing.
+  ReliabilityConfig rel = fast_rel();
+  rel.rto_base_ns = 2'000'000'000;
+  rel.rto_cap_ns = 4'000'000'000;
+  auto f = make_fabric(rel);
+  f.set_drop_filter(
+      [](const Packet& p) { return p.kind == PacketKind::flow_ack; });
+  constexpr int kRounds = 200;
+  for (int i = 0; i < kRounds; ++i) {
+    f.send(make_packet(0, 1, i));
+    f.send(make_packet(1, 0, i));  // retires 0 -> 1 up to i
+  }
+  // At most the last 1 -> 0 packet (and a 0 -> 1 one in flight) remain.
+  ASSERT_LE(f.unacked(), 2u);
+  ASSERT_EQ(f.retransmits(), 0u);
+  EXPECT_GT(f.chaos_dropped(), 0u);
+  // One more piggyback retires the 1 -> 0 tail; its own explicit ACK,
+  // now let through, retires it.
+  f.set_drop_filter(nullptr);
+  f.send(make_packet(0, 1, kRounds));
+  ASSERT_TRUE(f.quiesce(60s));
+  EXPECT_EQ(f.endpoint(0).delivered(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(f.endpoint(1).delivered(),
+            static_cast<std::uint64_t>(kRounds + 1));
+  EXPECT_EQ(f.retransmits(), 0u);
+  EXPECT_EQ(f.dup_suppressed(), 0u);
+  EXPECT_EQ(f.unacked(), 0u);
+}
+
+TEST(Reliability, DropFilterTogglesFromAThirdThreadDuringTwoSenders) {
+  // FilterSlot answers an empty slot from its armed flag without the lock;
+  // a third thread flipping the slot under two senders must neither lose
+  // a packet nor let one through twice. Installed before the senders
+  // start and held until it dropped something, so loss is certain.
+  auto f = make_fabric();
+  constexpr int kPerSender = 400;
+  std::atomic<bool> armed{false};
+  std::atomic<int> running{2};
+  std::thread toggler([&] {
+    auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
+    f.set_drop_filter(seeded_drop(counter, 0x7061, 0.3));
+    armed.store(true, std::memory_order_release);
+    while (f.chaos_dropped() == 0 &&
+           running.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+    f.set_drop_filter(nullptr);
+    for (std::uint64_t round = 0;
+         running.load(std::memory_order_acquire) > 0; ++round) {
+      f.set_drop_filter(seeded_drop(counter, 0x7061 + round, 0.3));
+      std::this_thread::yield();
+      f.set_drop_filter(nullptr);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> senders;
+  for (const Rank src : {0, 2}) {
+    senders.emplace_back([&f, &armed, &running, src] {
+      while (!armed.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kPerSender; ++i) {
+        f.send(make_packet(src, 1, i));
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (auto& t : senders) {
+    t.join();
+  }
+  toggler.join();
+  f.set_drop_filter(nullptr);
+  ASSERT_TRUE(f.quiesce(60s));
+  EXPECT_GT(f.chaos_dropped(), 0u);
+  EXPECT_EQ(f.endpoint(1).delivered(), 2u * kPerSender);  // exactly once
+  std::array<int, 4> next{};
+  while (auto got = f.endpoint(1).inbox().try_pop()) {
+    EXPECT_EQ(got->match.tag, next[static_cast<std::size_t>(got->src_rank)]++);
+  }
+  EXPECT_EQ(next[0], kPerSender);
+  EXPECT_EQ(next[2], kPerSender);
+  EXPECT_EQ(f.rto_escalations(), 0u);
+}
+
+TEST(Reliability, OneWayTrafficMaterializesOneFlow) {
+  // Flows materialize lazily, and linking a reverse flow must not create
+  // one: 0 -> 1 traffic (and the explicit ACKs it provokes) touches the
+  // 0 -> 1 flow only.
+  auto f = make_fabric();
+  constexpr int kPackets = 50;
+  for (int i = 0; i < kPackets; ++i) {
+    f.send(make_packet(0, 1, i));
+  }
+  ASSERT_TRUE(f.quiesce(60s));
+  EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kPackets));
+  std::ostringstream os;
+  Fabric::dump_flow_windows(os);
+  EXPECT_NE(os.str().find("\"total_flows\":1,"), std::string::npos)
+      << os.str();
 }
 
 }  // namespace

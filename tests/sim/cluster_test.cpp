@@ -145,6 +145,7 @@ std::pair<std::uint64_t, std::uint64_t> ecn_after_burst(
   Cluster::Options o;
   o.topo = {nodes, ppn};
   Cluster cluster{o};
+  EXPECT_NE(cluster.link_load(), nullptr);  // calibrated links can queue
   std::vector<Rank> ranks = senders;
   ranks.push_back(receiver);
   cluster.run_on(ranks, [&](Process& p) {
@@ -188,6 +189,39 @@ TEST(Cluster, OnNodeTrafficIsNeverEcnMarked) {
   const auto [marks, decreases] = ecn_after_burst(2, 5, {0, 1, 2, 3}, 4, 8);
   EXPECT_EQ(marks, 0u);
   EXPECT_EQ(decreases, 0u);
+}
+
+TEST(Cluster, ZeroCostClusterChargesNoLinkModel) {
+  // CostModel::zero() serializes every packet in 0 ns, so no link can
+  // build a backlog and no packet can be marked: the cluster installs no
+  // marker, and off-node traffic never reaches a link model.
+  EXPECT_FALSE(links_can_queue(base::CostModel::zero()));
+  EXPECT_TRUE(links_can_queue(base::CostModel::calibrated()));
+  constexpr int kPackets = 64;
+  const std::uint64_t marks0 = base::counters().value("fabric.ecn_marks");
+  Cluster cluster{zero_opts(2, 1)};
+  EXPECT_EQ(cluster.link_load(), nullptr);
+  cluster.run([&](Process& p) {
+    if (p.rank() == 0) {
+      for (int i = 0; i < kPackets; ++i) {
+        fabric::Packet pkt;
+        pkt.src_rank = 0;
+        pkt.dst_rank = 1;  // node 1: off-node
+        pkt.match.tag = i;
+        pkt.payload = fabric::Payload(64 * 1024);
+        p.cluster().fabric().send(std::move(pkt));
+      }
+      return;
+    }
+    for (int i = 0; i < kPackets; ++i) {
+      auto got = p.endpoint().inbox().pop_wait(std::chrono::seconds(5));
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->match.tag, i);
+    }
+  });
+  EXPECT_EQ(cluster.link_load(), nullptr);
+  EXPECT_EQ(cluster.fabric().ecn_marks(), 0u);
+  EXPECT_EQ(base::counters().value("fabric.ecn_marks"), marks0);
 }
 
 }  // namespace
