@@ -63,17 +63,6 @@ std::int64_t mono_ns() {
       .count();
 }
 
-/// Drop any of `reqs` still sitting in the posted queue: their buffers live
-/// in save()'s stack frame (same hazard agree.cpp scrubs against).
-void scrub_posted(detail::ProcState& ps,
-                  const std::shared_ptr<detail::CommState>& s,
-                  const std::vector<detail::RequestPtr>& reqs) {
-  std::lock_guard lock(ps.mu);
-  s->posted.erase_if([&](const detail::RequestPtr& p) {
-    return std::find(reqs.begin(), reqs.end(), p) != reqs.end();
-  });
-}
-
 /// Async-span correlation id for one rank's drain of one epoch (epochs
 /// collide across ranks, so fold the track in).
 std::uint64_t drain_span_id(std::int32_t track, std::uint64_t epoch) {
@@ -366,11 +355,11 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
         }
       }
     } catch (...) {
-      scrub_posted(ps, s, cleanup);
+      ps.scrub_posted(*s, cleanup);
       ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
       throw;
     }
-    scrub_posted(ps, s, cleanup);
+    ps.scrub_posted(*s, cleanup);
   }
   ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
   obs::histogram("ckpt.encode_ns")
@@ -833,10 +822,10 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
         }
       }
     } catch (...) {
-      scrub_posted(ps, s, cleanup);
+      ps.scrub_posted(*s, cleanup);
       throw;
     }
-    scrub_posted(ps, s, cleanup);
+    ps.scrub_posted(*s, cleanup);
 
     if (bad == 0 && stripes_of.contains(my_idx)) {
       const SetCodec codec(kk, mm);

@@ -338,13 +338,8 @@ void Sched::abort(ErrClass cls) {
     static const auto c_poisons = base::counter("coll.poisons");
     c_poisons.add();
   }
-  {
-    // No late message may land in a buffer the caller gets back.
-    std::lock_guard lock(ps_.mu);
-    s_->posted.erase_if([&](const detail::RequestPtr& r) {
-      return std::find(posted_.begin(), posted_.end(), r) != posted_.end();
-    });
-  }
+  // No late message may land in a buffer the caller gets back.
+  ps_.scrub_posted(*s_, posted_);
   if (cls == ErrClass::comm_revoked) {
     return;  // a revocation floods itself
   }

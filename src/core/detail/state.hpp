@@ -466,6 +466,11 @@ struct ProcState {
   void blocking_send(const std::shared_ptr<CommState>& comm, const void* buf,
                      int count, const Datatype& dt, int dst, int tag,
                      bool sync);
+  /// Remove any of `reqs` still sitting in `comm`'s posted queue (takes
+  /// mu). For callers whose receive buffers are about to go away — a stack
+  /// frame being left, or an aborted schedule handing its buffers back: a
+  /// late match would write through a dangling pointer.
+  void scrub_posted(CommState& comm, const std::vector<RequestPtr>& reqs);
 
   // --- communicator registration --------------------------------------------
   /// Create and register a CommState. `fixed_cid` pins the local CID (world

@@ -223,30 +223,9 @@ Fabric::Flow& Fabric::flow(Rank src, Rank dst, std::uint8_t rail) {
       return *it->second;  // lost the creation race
     }
   }
-  {
-    std::lock_guard lock(active_mu_);
-    active_.push_back(raw);
-  }
-  if (rail == 0) {
-    // Link the rail-0 pair for the piggyback path. Each flow of a pair is
-    // inserted before it looks for its partner, so when both are created
-    // concurrently at least one of the two finds the other and links both
-    // directions (the stores are idempotent).
-    if (Flow* rev = flow_if_exists(dst, src)) {
-      raw->reverse.store(rev, std::memory_order_release);
-      rev->reverse.store(raw, std::memory_order_release);
-    }
-  }
+  std::lock_guard lock(active_mu_);
+  active_.push_back(raw);
   return *raw;
-}
-
-Fabric::Flow* Fabric::flow_if_exists(Rank src, Rank dst,
-                                     std::uint8_t rail) noexcept {
-  const std::uint64_t key = flow_key(src, dst, rail);
-  FlowShard& shard = flow_shards_[key % kFlowShards];
-  std::lock_guard lock(shard.mu);
-  auto it = shard.flows.find(key);
-  return it == shard.flows.end() ? nullptr : it->second.get();
 }
 
 std::vector<Fabric::Flow*> Fabric::active_flows() const {
@@ -287,6 +266,10 @@ void Fabric::send(Packet&& packet) {
   if (!topo_.valid_rank(packet.dst_rank) || !topo_.valid_rank(packet.src_rank)) {
     throw base::Error(base::ErrClass::rte_bad_param, "invalid packet route");
   }
+  if (!packet.is_sequenced()) {
+    throw base::Error(base::ErrClass::rte_bad_param,
+                      "flow_ack is fabric-internal");
+  }
   if (is_failed(packet.dst_rank)) {
     // A known-dead destination is not a loss event for the reliability
     // layer: the packet is charged (occupancy only — nothing arrives, so
@@ -297,12 +280,6 @@ void Fabric::send(Packet&& packet) {
         packet.payload.size(), packet.header_bytes()));
     dropped_.fetch_add(1, std::memory_order_relaxed);
     bytes_dropped_.fetch_add(sz, std::memory_order_relaxed);
-    return;
-  }
-  if (!packet.is_sequenced()) {
-    // Only a flow_ack is unsequenced; it acts on the flow it acknowledges.
-    Flow& acked = flow(packet.dst_rank, packet.src_rank, packet.flow.rail);
-    transmit(acked, std::move(packet), /*charge_wire=*/true);
     return;
   }
   if (rel_.cc.rails > 1 && packet.kind == PacketKind::rndv_data &&
@@ -318,22 +295,9 @@ void Fabric::send(Packet&& packet) {
   const Rank src = packet.src_rank;
   const Rank dst = packet.dst_rank;
   OBS_SPAN_ARG("fabric.send", "fabric", packet.payload.size());
-  // The one flow-table lookup of the send: everything below — piggyback,
-  // window, delivery, the receiver's echo and the RTO arm — reaches its
-  // flows through `f`.
+  // The one flow-table lookup of the send: the window, the delivery, the
+  // receiver's echo and the RTO arm all reach the flow through `f`.
   Flow& f = flow(src, dst);
-  // Piggyback the cumulative ACK for the reverse flow (data we received
-  // from dst); it retires dst's window entries early, for free. It is not
-  // what the reliability layer relies on: deliver() already answered every
-  // one of those arrivals with an explicit flow_ack, and a lost one is
-  // repaired by the retransmit/duplicate path, so this read leaves the
-  // reverse flow's ack state alone. Piggybacks always describe the rail-0
-  // reverse flow — control and eager traffic ride rail 0; striped rails
-  // are acked by explicit flow_acks.
-  if (Flow* rev = f.reverse.load(std::memory_order_acquire)) {
-    std::lock_guard lock(rev->mu);
-    packet.flow.ack = rev->cum_delivered;
-  }
   const std::int64_t rto_ns =
       rel_.rto_base_ns + cost_.wire_cost(topo_.same_node(src, dst),
                                          packet.payload.size(),
@@ -355,7 +319,7 @@ bool Fabric::window_packet(Flow& f, Packet& packet, std::int64_t rto_ns) {
   base::wait_until(f.word, [&] {
     std::lock_guard lock(f.mu);
     // Teardown overrides the window: with the pump stopping there may be
-    // nobody left to flush the ACKs that would open it.
+    // nobody left to retransmit the packets whose ACKs would open it.
     if (!f.cc.can_send(f.window.size()) &&
         !stop_.load(std::memory_order_relaxed)) {
       return is_failed(f.dst);
@@ -392,11 +356,6 @@ void Fabric::send_striped(Packet&& packet) {
   const std::size_t total = packet.payload.size();
   const auto nseg = static_cast<std::size_t>(rel_.cc.rails);
   OBS_SPAN_ARG("fabric.send_striped", "fabric", total);
-  std::uint64_t rev_cum = 0;
-  if (Flow* rev = flow_if_exists(dst, src)) {
-    std::lock_guard lock(rev->mu);
-    rev_cum = rev->cum_delivered;
-  }
   const bool same_node = topo_.same_node(src, dst);
   const std::uint64_t msg_id =
       next_msg_id_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -426,7 +385,6 @@ void Fabric::send_striped(Packet&& packet) {
     seg.stripe.count = static_cast<std::uint16_t>(nseg);
     seg.stripe.total_bytes = static_cast<std::uint32_t>(total);
     seg.payload = packet.payload.slice(off, len);  // zero-copy slab share
-    seg.flow.ack = rev_cum;
     off += len;
     const std::size_t hdr = seg.header_bytes();
     max_occupancy =
@@ -468,7 +426,6 @@ void Fabric::arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns) {
   }
   it->second.rto_ns = rto_ns;
   it->second.deadline.arm(base::now_ns(), rto_ns);
-  it->second.armed_pass = pump_passes_.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,8 +492,7 @@ bool Fabric::transmit(Flow& f, Packet&& pkt, bool charge_wire) {
 }
 
 void Fabric::apply_ack(Flow& f, std::uint64_t cum,
-                       const std::vector<std::uint64_t>& sack, bool ece,
-                       bool is_explicit) {
+                       const std::vector<std::uint64_t>& sack, bool ece) {
   std::lock_guard lock(f.mu);
   std::uint64_t newly_acked = 0;
   auto stop = f.window.upper_bound(cum);
@@ -560,7 +516,7 @@ void Fabric::apply_ack(Flow& f, std::uint64_t cum,
     f.tlp_fired = false;
     f.word.notify();  // the window opened
   }
-  if (ece && is_explicit) {
+  if (ece) {
     const std::uint64_t before = f.cc.cwnd_packets();
     f.cc.on_ecn_echo(cum, highest_sent);
     if (f.cc.cwnd_packets() < before) {
@@ -570,12 +526,6 @@ void Fabric::apply_ack(Flow& f, std::uint64_t cum,
       OBS_INSTANT_ON(f.src, "fabric.ecn.decrease", "fabric",
                      f.cc.cwnd_packets());
     }
-  }
-  if (!is_explicit) {
-    // Piggybacked data acks retire windows but never count as duplicates:
-    // data arrival order says nothing about receiver-side holes.
-    f.last_cum_seen = std::max(f.last_cum_seen, cum);
-    return;
   }
   bool mark_holes = false;
   if (cum == f.last_cum_seen && !sack.empty() && !f.window.empty() &&
@@ -621,35 +571,35 @@ void Fabric::push_to_inbox(Packet&& pkt) {
 }
 
 void Fabric::deliver(Flow& f, Packet&& pkt) {
-  // Any packet X->Y carrying an ACK acknowledges the reverse flow (Y->X):
-  // explicit flow_acks travel with the flow they acknowledge (`f`) and may
-  // echo ECN; piggybacked cumulative ACKs on data packets always describe
-  // the rail-0 reverse flow and never drive dup-ack counting.
   if (pkt.kind == PacketKind::flow_ack) {
-    apply_ack(f, pkt.flow.ack, pkt.sack, pkt.flow.ece, /*is_explicit=*/true);
+    // A flow_ack travels with the flow it acknowledges (`f`).
+    apply_ack(f, pkt.flow.ack, pkt.sack, pkt.flow.ece);
     return;  // fabric-internal: never reaches the inbox
   }
-  if (pkt.flow.ack > 0) {
-    // A rail-0 sender read its piggyback through this same link, so it is
-    // set here; striped rails have none and look the rail-0 flow up.
-    Flow* rev = f.reverse.load(std::memory_order_acquire);
-    apply_ack(rev != nullptr ? *rev : flow(pkt.dst_rank, pkt.src_rank),
-              pkt.flow.ack, {}, /*ece=*/false, /*is_explicit=*/false);
-  }
-
+  // The window is ack-clocked: the sender cannot grow or refill its cwnd
+  // until acknowledgments arrive, so batching acks to the pump tick would
+  // quantize the whole flow to tick granularity. Every arrival — new,
+  // out-of-order or duplicate — is answered with one flow_ack (TCP-style),
+  // which also makes dup-acks, the fast-retransmit trigger, immediate. It
+  // is built from this arrival's state under the flow mutex and sent after
+  // it is released.
+  Packet ack;
+  ack.kind = PacketKind::flow_ack;
+  ack.src_rank = f.dst;  // the ACK travels receiver -> sender
+  ack.dst_rank = f.src;
+  ack.flow.rail = f.rail;  // names the flow being acknowledged
+  // Echo a CE mark (ECE). Duplicates carry the bit too — congestion is
+  // congestion.
+  ack.flow.ece = pkt.flow.ce;
   {
     std::lock_guard lock(f.mu);
-    // Remember a CE mark until the next flow_ack echoes it (ECE) back to
-    // the sender. Duplicates carry the bit too — congestion is congestion.
-    f.ece_rx_pending = f.ece_rx_pending || pkt.flow.ce;
     const std::uint64_t seq = pkt.flow.seq;
     if (seq <= f.cum_delivered || f.reorder.count(seq) != 0) {
-      // Retransmit-induced duplicate: suppress, but re-arm the ACK so the
-      // sender's window entry retires.
+      // Retransmit-induced duplicate: suppress it; the echo still retires
+      // the sender's window entry.
       dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
       static const auto dups_counter = base::counter("fabric.dup_suppressed");
       dups_counter.add();
-      f.ack_pending = true;
     } else if (seq == f.cum_delivered + 1) {
       release_in_order(std::move(pkt));
       f.cum_delivered = seq;
@@ -660,18 +610,30 @@ void Fabric::deliver(Flow& f, Packet&& pkt) {
         f.cum_delivered = it->first;
         it = f.reorder.erase(it);
       }
-      f.ack_pending = true;
     } else {
       f.reorder.emplace(seq, std::move(pkt));
-      f.ack_pending = true;
+    }
+    ack.flow.ack = f.cum_delivered;
+    for (const auto& [held_seq, held] : f.reorder) {
+      if (ack.sack.size() >= kMaxSackEntries) {
+        break;
+      }
+      ack.sack.push_back(held_seq);
     }
   }
-  // The window is ack-clocked: the sender cannot grow or refill its cwnd
-  // until acknowledgments arrive, so batching acks to the pump tick would
-  // quantize the whole flow to tick granularity. Echo an ack per segment
-  // (TCP-style), which also makes dup-acks — the fast-retransmit trigger —
-  // immediate instead of up-to-a-tick late.
-  flush_ack(f);
+  static const auto acks_counter = base::counter("fabric.acks");
+  acks_counter.add();
+  // v = cumulative ack; v2 = SACK summary, count<<48 | lowest held seq
+  // (48 bits of seq is plenty for a sim run; 0 = no out-of-order ranges).
+  [[maybe_unused]] const std::uint64_t sack_ranges =
+      ack.sack.empty() ? 0
+                       : (static_cast<std::uint64_t>(ack.sack.size()) << 48) |
+                             (ack.sack.front() & 0xFFFFFFFFFFFFull);
+  OBS_INSTANT_ON2(f.dst, "fabric.ack.flush", "fabric", ack.flow.ack,
+                  sack_ranges);
+  // ACK wire time is not charged: ACKs model NIC-offloaded return-path
+  // traffic, so the echo never serializes behind the data it answers.
+  transmit(f, std::move(ack), /*charge_wire=*/false);
 }
 
 void Fabric::release_in_order(Packet&& pkt) {
@@ -726,45 +688,6 @@ void Fabric::reassemble(Packet&& seg) {
 // Pump: tail-loss probes, timeout-driven retransmission, escalation
 // ---------------------------------------------------------------------------
 
-void Fabric::flush_ack(Flow& f) {
-  const Rank src = f.src;
-  const Rank dst = f.dst;
-  Packet ack;
-  {
-    std::lock_guard lock(f.mu);
-    if (!f.ack_pending) {
-      return;
-    }
-    f.ack_pending = false;
-    ack.kind = PacketKind::flow_ack;
-    ack.src_rank = dst;  // the ACK travels receiver -> sender
-    ack.dst_rank = src;
-    ack.flow.ack = f.cum_delivered;
-    ack.flow.rail = f.rail;  // names the flow being acknowledged
-    ack.flow.ece = f.ece_rx_pending;  // echo CE marks seen since last ack
-    f.ece_rx_pending = false;
-    for (const auto& [seq, held] : f.reorder) {
-      if (ack.sack.size() >= kMaxSackEntries) {
-        break;
-      }
-      ack.sack.push_back(seq);
-    }
-  }
-  static const auto acks_counter = base::counter("fabric.acks");
-  acks_counter.add();
-  // v = cumulative ack; v2 = SACK summary, count<<48 | lowest held seq
-  // (48 bits of seq is plenty for a sim run; 0 = no out-of-order ranges).
-  [[maybe_unused]] const std::uint64_t sack_ranges =
-      ack.sack.empty() ? 0
-                       : (static_cast<std::uint64_t>(ack.sack.size()) << 48) |
-                             (ack.sack.front() & 0xFFFFFFFFFFFFull);
-  OBS_INSTANT_ON2(dst, "fabric.ack.flush", "fabric", ack.flow.ack,
-                  sack_ranges);
-  // ACK wire time is not charged: ACKs model piggybacked / NIC-offloaded
-  // reverse traffic, keeping the pump from serializing behind wire delays.
-  transmit(f, std::move(ack), /*charge_wire=*/false);
-}
-
 void Fabric::escalate_unreachable(Rank dst) {
   // Claim the escalation first (exactly once per rank), but flip the
   // failed flag last: whoever observes is_failed(dst) also observes the
@@ -795,7 +718,6 @@ void Fabric::escalate_unreachable(Rank dst) {
 
 bool Fabric::pump_pass() {
   const std::int64_t now = base::now_ns();
-  const std::uint64_t pass = pump_passes_.load(std::memory_order_relaxed);
   bool busy = false;
   struct RetransmitItem {
     Flow* flow;
@@ -832,7 +754,6 @@ bool Fabric::pump_pass() {
         // retransmits nor fills receive-window gaps.
         f.window.clear();
         f.reorder.clear();
-        f.ack_pending = false;
         f.word.notify();  // a dead sender's window wait ends too
         continue;
       }
@@ -848,12 +769,10 @@ bool Fabric::pump_pass() {
           to_retransmit.push_back({fp, entry.pkt, seq, entry.rto_ns, true});
           continue;
         }
-        // Expiry needs the wall RTO AND two completed passes since the
-        // entry was (re)armed: every pass flushes every flow's ACKs, so
-        // anything delivered before the previous pass has been acked and
-        // erased by now — what's left is genuinely lost, not merely
-        // waiting on a starved pump.
-        if (!entry.deadline.expired(now) || pass < entry.armed_pass + 2) {
+        // A delivered entry was erased by its echo before arm_entry ran
+        // (held packets were delivered at the top of this pass), so an
+        // expired entry is one whose packet or echo was lost.
+        if (!entry.deadline.expired(now)) {
           continue;
         }
         if (entry.retries >= rel_.max_retries) {
@@ -897,8 +816,7 @@ bool Fabric::pump_pass() {
                /*fast=*/false, /*tlp=*/true});
         }
       }
-      busy = busy || !f.window.empty() || !f.reorder.empty() ||
-             f.ack_pending;
+      busy = busy || !f.window.empty() || !f.reorder.empty();
     }
     if (escalate) {
       to_escalate.push_back(f.dst);
@@ -958,10 +876,6 @@ bool Fabric::pump_pass() {
     }
   }
 
-  for (Flow* fp : flows) {
-    flush_ack(*fp);
-  }
-  pump_passes_.fetch_add(1, std::memory_order_relaxed);
   return busy || !held.empty();
 }
 
@@ -974,8 +888,8 @@ void Fabric::pump_main() {
 }
 
 bool Fabric::quiesce(std::chrono::nanoseconds timeout) {
-  // Re-checked after every pump pass, which flushes the acks and held
-  // packets this waits out.
+  // Re-checked after every pump pass, which delivers the held packets and
+  // fires the retransmits this waits out.
   return base::wait_until(
       pumped_,
       [this] {
@@ -988,7 +902,7 @@ bool Fabric::quiesce(std::chrono::nanoseconds timeout) {
         const std::vector<Flow*> flows = active_flows();
         return std::none_of(flows.begin(), flows.end(), [](const Flow* f) {
           std::lock_guard lock(f->mu);
-          return !f->window.empty() || !f->reorder.empty() || f->ack_pending;
+          return !f->window.empty() || !f->reorder.empty();
         });
       },
       base::now_ns() + timeout.count());

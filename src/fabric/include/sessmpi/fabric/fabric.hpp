@@ -11,8 +11,10 @@
 // in-order delivery per (src,dst) flow even when the chaos drop filter eats
 // packets. Every sequenced packet is stamped with a flow sequence number and
 // retained in a sender-side unacked window bounded by the flow's congestion
-// window (cc.hpp). Receivers answer every sequenced arrival with a
-// cumulative/selective ACK; three duplicates fast-retransmit the SACK holes.
+// window (cc.hpp). The receiver answers every sequenced arrival with one
+// cumulative/selective flow_ack, built with the arrival and sent before the
+// sender's transmit returns; it is the only ACK the fabric has. Three
+// duplicates fast-retransmit the SACK holes.
 // A fabric-owned pump thread fires tail-loss probes after an ack silence,
 // retransmits entries whose RTO expired (exponential backoff), and — after
 // `max_retries` consecutive losses — escalates the peer to a
@@ -63,7 +65,8 @@ inline constexpr std::size_t kMaxSackEntries = 16;
 
 /// Reliability policy. Defaults are sized for the calibrated cost model
 /// (wire latencies of 0.2–0.6 ms): the RTO comfortably exceeds one wire
-/// time plus the ACK-flush tick, so lossless runs never retransmit.
+/// time, and a lossless arrival is acknowledged before its transmit
+/// returns, so lossless runs never retransmit.
 struct ReliabilityConfig {
   /// Pump period: retransmit / tail-loss-probe scan granularity.
   std::int64_t tick_ns = 1'000'000;  // 1 ms
@@ -128,7 +131,8 @@ class Fabric {
 
   /// Route a packet to its destination endpoint, injecting the modeled wire
   /// time on the calling (sender) thread. Throws Error(rte_bad_param) for an
-  /// invalid destination. Sends to failed ranks are counted and dropped;
+  /// invalid route or a flow_ack (fabric-internal: only the receive path
+  /// creates one). Sends to failed ranks are counted and dropped;
   /// chaos-dropped packets stay in the sender's unacked window and are
   /// retransmitted by the pump until acknowledged or retries are exhausted.
   void send(Packet&& packet);
@@ -177,8 +181,8 @@ class Fabric {
   /// Same mid-run swap guarantees as the chaos filters.
   void set_ce_marker(PacketFilter marker);
 
-  /// Block until every unacked window, reorder buffer, held (reordered)
-  /// packet, and pending ACK has drained, or `timeout` elapses. Returns
+  /// Block until every unacked window, reorder buffer and held (reordered)
+  /// packet has drained, or `timeout` elapses. Returns
   /// true when fully quiesced. Tests and benches use this to wait out the
   /// retransmit tail of a lossy phase.
   bool quiesce(std::chrono::nanoseconds timeout);
@@ -249,26 +253,19 @@ class Fabric {
   /// the pump). One mutex guards both; it is never held across a wire
   /// delay, another flow's mutex, or an inbox wait (it IS held across the
   /// reassembly table's mutex — that lock order, flow then reassembly, is
-  /// the only nesting). `reverse` is not guarded by it: it is published
-  /// once, before either flow of the pair carries data, and read lock-free.
+  /// the only nesting).
   struct Flow {
     Flow(Rank s, Rank d, std::uint8_t r, const CcConfig& cfg)
         : src(s), dst(d), rail(r), cc(cfg) {}
     const Rank src;
     const Rank dst;
     const std::uint8_t rail;  ///< rail id; non-zero only for striped traffic
-    /// Rail-0 flows only: the rail-0 (dst,src) flow, whose cumulative ACK
-    /// this flow's data piggybacks and whose window this flow's piggybacks
-    /// retire. Linked by whichever of the two is created second (flow()),
-    /// so a flow that never existed is never created for it; null until
-    /// then.
-    std::atomic<Flow*> reverse{nullptr};
     mutable std::mutex mu;
     base::WaitWord word;  ///< window room: acks, dst death, teardown
     // --- tx (packets src -> dst) ---
     std::uint64_t next_seq = 1;
     CcState cc;  ///< congestion window state machine (DESIGN.md §17)
-    std::uint64_t last_cum_seen = 0;  ///< last explicit-ack cum (dup detect)
+    std::uint64_t last_cum_seen = 0;  ///< last ack's cum (dup detect)
     struct Unacked {
       Packet pkt;
       base::Deadline deadline;
@@ -279,13 +276,6 @@ class Fabric {
       bool fast_retx = false;
       /// Already fast-retransmitted once; further repair is RTO-only.
       bool fast_retxed = false;
-      /// Completed pump passes when (re)armed. An entry only expires after
-      /// BOTH the wall RTO and two further completed passes: ACKs are
-      /// flushed by the pump itself, so when the pump is starved (e.g. an
-      /// oversubscribed host where rank threads spin out wire delays),
-      /// retransmitting early is pure waste — the original was delivered
-      /// and its ACK simply hasn't been pumped yet.
-      std::uint64_t armed_pass = 0;
     };
     std::map<std::uint64_t, Unacked> window;
     /// Wall clock of the last forward progress on the tx side — a newly
@@ -297,8 +287,6 @@ class Fabric {
     // --- rx (same direction, state kept at dst) ---
     std::uint64_t cum_delivered = 0;  ///< highest contiguously delivered seq
     std::map<std::uint64_t, Packet> reorder;  ///< out-of-order arrivals
-    bool ack_pending = false;  ///< new data since the last ACK we emitted
-    bool ece_rx_pending = false;  ///< CE seen since the last ACK we emitted
   };
 
   /// One partially reassembled striped message at the receiver, keyed by
@@ -313,14 +301,9 @@ class Fabric {
   /// touch: preallocating topo.size()^2 of them costs tens of GB at 16k
   /// ranks, while real traffic touches O(active peer pairs). Created flows
   /// are never destroyed before the Fabric, so the returned reference (and
-  /// the pointers in active_ and Flow::reverse) stay valid for the fabric's
-  /// lifetime. The per-packet path looks each flow up once and passes the
-  /// Flow& along.
+  /// the pointers in active_) stay valid for the fabric's lifetime. The
+  /// per-packet path looks each flow up once and passes the Flow& along.
   Flow& flow(Rank src, Rank dst, std::uint8_t rail = 0);
-  /// Lookup without materializing (linking a reverse flow, and striped
-  /// piggyback reads: if it never existed, there is nothing to link or
-  /// acknowledge).
-  Flow* flow_if_exists(Rank src, Rank dst, std::uint8_t rail = 0) noexcept;
   /// Stable snapshot of every materialized flow (pump/quiesce iteration).
   std::vector<Flow*> active_flows() const;
 
@@ -330,9 +313,10 @@ class Fabric {
   /// the flow it acknowledges for a flow_ack. Returns true when the packet
   /// reached the destination's receive path.
   bool transmit(Flow& f, Packet&& pkt, bool charge_wire);
-  /// Receiver-side processing on the destination's behalf: consume ACK
-  /// state, dedup/reorder sequenced packets, push deliverables to the
-  /// inbox. `f` as for transmit().
+  /// Receiver-side processing on the destination's behalf: apply a
+  /// flow_ack to `f`'s window; or dedup/reorder a sequenced packet, push
+  /// deliverables to the inbox and answer the arrival with its flow_ack.
+  /// `f` as for transmit().
   void deliver(Flow& f, Packet&& pkt);
   void push_to_inbox(Packet&& pkt);
   /// In-order release of one sequenced packet at the receiver: striped
@@ -342,13 +326,11 @@ class Fabric {
   /// Merge a striped segment; pushes the logical message to the inbox once
   /// all its segments arrived.
   void reassemble(Packet&& seg);
-  /// Apply a cumulative + selective ACK to `f`'s sender window. `ece`
-  /// echoes a CE mark; `is_explicit` distinguishes flow_acks (which drive
-  /// dup-ack counting) from piggybacked data acks (which must not — data
-  /// arrival order says nothing about ack duplication).
+  /// Apply a flow_ack's cumulative + selective ACK to `f`'s sender window:
+  /// retire entries, count duplicates toward fast retransmit, and react to
+  /// an echoed CE mark (`ece`).
   void apply_ack(Flow& f, std::uint64_t cum,
-                 const std::vector<std::uint64_t>& sack, bool ece,
-                 bool is_explicit);
+                 const std::vector<std::uint64_t>& sack, bool ece);
   /// Park until flow `f` has congestion window room, then
   /// assign the next seq and window the packet. Returns false when the
   /// destination died while waiting (the packet is charged and dropped).
@@ -358,10 +340,6 @@ class Fabric {
   /// Start the RTO clock on `f`'s window entry `seq` after its transmit
   /// returned (no-op when the entry was acknowledged mid-wire).
   void arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns);
-  /// Emit one flow_ack for `f` if it has unacknowledged deliveries. ACK
-  /// wire time is not charged: ACKs model piggybacked / NIC-offloaded
-  /// reverse traffic (DESIGN.md §9).
-  void flush_ack(Flow& f);
   void pump_main();
   /// One pump pass over every flow; returns true if any state remains.
   bool pump_pass();
@@ -421,7 +399,6 @@ class Fabric {
   std::atomic<std::uint64_t> tlp_probes_{0};
   std::atomic<std::uint64_t> ecn_marks_{0};
   std::array<std::atomic<std::uint64_t>, kMaxRails> rail_striped_bytes_{};
-  std::atomic<std::uint64_t> pump_passes_{0};  ///< completed pump passes
   base::WaitWord pumped_;  ///< notified after every pump pass (quiesce)
 
   std::atomic<bool> stop_{false};

@@ -7,12 +7,11 @@
 // the user payload. Sessions-derived communicators additionally prepend an
 // 18-byte extended header carrying the 128-bit exCID plus the sender's local
 // CID until the receiver's CID ACK arrives (paper §III-B4). The fabric's
-// reliable-delivery sublayer (DESIGN.md §9) prepends a 12-byte flow header —
-// 48-bit per-(src,dst) sequence number plus a 48-bit piggybacked cumulative
-// ACK for the reverse flow — to every packet, and adds a `flow_ack` control
-// packet (cumulative + selective ACKs) for flows with no reverse traffic.
-// Header *sizes* are modeled explicitly — the cost model charges per header
-// byte — while the in-memory representation is an ordinary struct.
+// reliable-delivery sublayer (DESIGN.md §9) prepends a 12-byte flow header to
+// every packet, and answers every sequenced arrival with a `flow_ack` control
+// packet (cumulative + selective ACKs). Header *sizes* are modeled
+// explicitly — the cost model charges per header byte — while the in-memory
+// representation is an ordinary struct.
 
 #include <cstdint>
 #include <vector>
@@ -62,17 +61,18 @@ struct ExtHeader {
 };
 inline constexpr std::size_t kExtHeaderBytes = 18;
 
-/// Reliable-delivery flow header (12 modeled bytes). On the modeled wire
-/// this packs a 46-bit per-(src,dst,rail) sequence number, a 46-bit
-/// piggybacked cumulative ACK for the reverse flow, a 2-bit rail id, and
-/// the two ECN bits (CE set by a congested modeled link, ECE echoed by the
-/// receiver in flow_acks) — the congestion-control additions ride in the
-/// four bits the 48+48 layout left spare, so kFlowHeaderBytes stays 12
-/// (DESIGN.md §17). seq == 0 marks an unsequenced packet (flow_ack control
-/// traffic, which must not itself be acknowledged).
+/// Reliable-delivery flow header (12 modeled bytes): a 46-bit
+/// per-(src,dst,rail) sequence number, a 46-bit cumulative ACK, a 2-bit
+/// rail id, and the two ECN bits (CE set by a congested modeled link, ECE
+/// echoed by the receiver in flow_acks; DESIGN.md §17). Only a flow_ack
+/// fills `ack`: data packets carry no acknowledgment and leave it 0, so
+/// their 6 modeled ack bytes are unused. They are still charged — the
+/// layout and every calibrated figure built on it stay as they were.
+/// seq == 0 marks an unsequenced packet (flow_ack control traffic, which
+/// must not itself be acknowledged).
 struct FlowHeader {
   std::uint64_t seq = 0;  ///< flow sequence number; 0 = unsequenced
-  std::uint64_t ack = 0;  ///< cumulative ACK for the reverse (dst->src) flow
+  std::uint64_t ack = 0;  ///< flow_ack: cumulative ACK of the named flow
   std::uint8_t rail = 0;  ///< rail id within the (src,dst) pair (2 wire bits)
   bool ce = false;        ///< congestion experienced: set by a loaded link
   bool ece = false;       ///< ECN echo: receiver -> sender, in flow_acks
@@ -126,8 +126,8 @@ struct Packet {
   [[nodiscard]] bool is_striped() const noexcept { return stripe.count > 0; }
 
   /// Modeled wire header size in bytes (charged by the cost model). Every
-  /// kind pays the flow header: sequenced packets carry seq + piggybacked
-  /// ACK; flow_ack carries cum ACK + entry count + its selective entries.
+  /// kind pays the flow header: sequenced packets carry their seq;
+  /// flow_ack carries cum ACK + entry count + its selective entries.
   /// A non-zero trace context adds kTraceCtxBytes on the kinds that can
   /// carry one (message-bearing kinds + the revoke flood); with tracing
   /// off, trace_ctx stays 0 and the modeled wire is unchanged.

@@ -21,7 +21,6 @@
 // All traffic runs on FT tags (<= kFtTagBase), so agreement also works on a
 // revoked communicator — ULFM's carve-out for recovery operations.
 
-#include <algorithm>
 #include <mutex>
 
 #include "detail/state.hpp"
@@ -75,18 +74,6 @@ void hook(ft::AgreeStep step, int me) {
   if (h) {
     h(step, me);
   }
-}
-
-/// Remove any of `reqs` still sitting in the posted queue (their receive
-/// buffers live on our stack frame; a late match after return would write
-/// through a dangling pointer).
-void scrub_posted(detail::ProcState& ps,
-                  const std::shared_ptr<detail::CommState>& s,
-                  const std::vector<detail::RequestPtr>& reqs) {
-  std::lock_guard lock(ps.mu);
-  s->posted.erase_if([&](const detail::RequestPtr& p) {
-    return std::find(reqs.begin(), reqs.end(), p) != reqs.end();
-  });
 }
 
 }  // namespace
@@ -229,11 +216,11 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
     // A throw mid-protocol (self marked failed, cluster abort, or a test
     // hook modeling a crash) must not leave posted receives pointing at
     // this dying stack frame.
-    scrub_posted(ps, s, cleanup);
+    ps.scrub_posted(*s, cleanup);
     throw;
   }
 
-  scrub_posted(ps, s, cleanup);
+  ps.scrub_posted(*s, cleanup);
 
   // Flood the decision to every live member before returning, so survivors
   // that have not decided yet can adopt it even if we (or the coordinator)

@@ -7,7 +7,7 @@ namespace {
 
 TEST(Packet, FastPathHeaderIsFlowPlus14Bytes) {
   // The ob1 match header the paper describes is 14 bytes; the reliability
-  // sublayer prepends its 12-byte flow header (seq + piggybacked ACK). The
+  // sublayer prepends its 12-byte flow header (seq, ack, rail, ECN). The
   // per-byte wire charge depends on both staying exact.
   Packet p;
   p.kind = PacketKind::eager;

@@ -1,7 +1,7 @@
 // Reliable-delivery sublayer tests: exactly-once in-order delivery under
 // seeded loss, duplicate suppression, retry-exhaustion escalation, mid-run
-// filter swaps, reordering injection, and the per-packet path's linked
-// reverse flows (DESIGN.md §9).
+// filter swaps, reordering injection, and the one ACK path: every arrival
+// answered before its send returns (DESIGN.md §9).
 
 #include <gtest/gtest.h>
 
@@ -122,25 +122,50 @@ TEST(Reliability, AdaptiveEnginesPreserveExactlyOnceUnderSeededLoss) {
 
 TEST(Reliability, LostAcksCauseDupSuppressionNotDoubleDelivery) {
   auto f = make_fabric();
-  // Eat every ACK: data arrives first try, but the sender window can never
-  // retire, so the pump keeps retransmitting already-delivered packets.
+  // Eat every ACK in both directions: data arrives first try, but no
+  // sender window can retire (data carries no acknowledgment), so the
+  // pump keeps retransmitting already-delivered packets and the senders
+  // stall on their windows.
   f.set_drop_filter(
       [](const Packet& p) { return p.kind == PacketKind::flow_ack; });
-  f.send(make_packet(0, 1, 7));
+  constexpr int kPackets = 50;
+  std::vector<std::thread> senders;
+  for (const Rank src : {0, 1}) {
+    senders.emplace_back([&f, src] {
+      for (int i = 0; i < kPackets; ++i) {
+        f.send(make_packet(src, 1 - src, i));
+      }
+    });
+  }
   const auto deadline = std::chrono::steady_clock::now() + 60s;
-  while (f.dup_suppressed() < 3) {
+  while (f.dup_suppressed() < 3 || f.endpoint(0).delivered() == 0 ||
+         f.endpoint(1).delivered() == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(1ms);
   }
-  // Let an ACK through; everything retires.
+  // Nothing retired: every packet delivered so far is still windowed.
+  const std::uint64_t delivered =
+      f.endpoint(0).delivered() + f.endpoint(1).delivered();
+  EXPECT_GE(f.unacked(), delivered);
+  // Let the ACKs through; every window retires.
   f.set_drop_filter(nullptr);
+  for (auto& t : senders) {
+    t.join();
+  }
   ASSERT_TRUE(f.quiesce(60s));
-  EXPECT_EQ(f.endpoint(1).delivered(), 1u);  // duplicates never delivered
-  auto got = f.endpoint(1).inbox().try_pop();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->match.tag, 7);
-  EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
+  for (const Rank dst : {0, 1}) {
+    // Duplicates are never delivered, and each direction stays in order.
+    EXPECT_EQ(f.endpoint(dst).delivered(),
+              static_cast<std::uint64_t>(kPackets));
+    for (int i = 0; i < kPackets; ++i) {
+      auto got = f.endpoint(dst).inbox().try_pop();
+      ASSERT_TRUE(got.has_value()) << "dst " << dst << " i " << i;
+      EXPECT_EQ(got->match.tag, i);
+    }
+    EXPECT_FALSE(f.endpoint(dst).inbox().try_pop().has_value());
+  }
   EXPECT_GE(f.retransmits(), f.dup_suppressed());
+  EXPECT_EQ(f.rto_escalations(), 0u);
   EXPECT_EQ(f.unacked(), 0u);
 }
 
@@ -232,7 +257,7 @@ TEST(Reliability, LosslessBidirectionalTrafficStaysQuiet) {
   constexpr int kRounds = 200;
   for (int i = 0; i < kRounds; ++i) {
     f.send(make_packet(0, 1, i));
-    f.send(make_packet(1, 0, i));  // piggybacks the ACK for 0 -> 1
+    f.send(make_packet(1, 0, i));
   }
   ASSERT_TRUE(f.quiesce(60s));
   EXPECT_EQ(f.endpoint(0).delivered(), static_cast<std::uint64_t>(kRounds));
@@ -245,38 +270,25 @@ TEST(Reliability, LosslessBidirectionalTrafficStaysQuiet) {
   EXPECT_EQ(f.unacked(), 0u);
 }
 
-TEST(Reliability, PiggybackAloneRetiresWindowsWhenEveryFlowAckIsLost) {
-  // Every explicit flow_ack is eaten, so only the piggybacked cumulative
-  // ACK on reverse data can retire a window: send() reads it through the
-  // linked reverse flow and deliver() applies it through the same link.
-  // The RTO (and with it the tail-loss probe, rto_base/8) is far beyond
-  // the loop, so any retransmit here would mean a piggyback went missing.
-  ReliabilityConfig rel = fast_rel();
-  rel.rto_base_ns = 2'000'000'000;
-  rel.rto_cap_ns = 4'000'000'000;
-  auto f = make_fabric(rel);
-  f.set_drop_filter(
-      [](const Packet& p) { return p.kind == PacketKind::flow_ack; });
+TEST(Reliability, EveryArrivalIsAckedBeforeSendReturns) {
+  // The fabric's one ACK path: deliver() answers each arrival with a
+  // flow_ack before the sender's transmit returns. On a lossless fabric no
+  // window entry outlives its send, with no pump pass and no quiesce, and
+  // there is exactly one ACK per packet.
+  auto f = make_fabric();
+  const std::uint64_t acks_before = base::counters().value("fabric.acks");
   constexpr int kRounds = 200;
   for (int i = 0; i < kRounds; ++i) {
     f.send(make_packet(0, 1, i));
-    f.send(make_packet(1, 0, i));  // retires 0 -> 1 up to i
+    ASSERT_EQ(f.unacked(), 0u) << "0 -> 1, round " << i;
+    f.send(make_packet(1, 0, i));
+    ASSERT_EQ(f.unacked(), 0u) << "1 -> 0, round " << i;
   }
-  // At most the last 1 -> 0 packet (and a 0 -> 1 one in flight) remain.
-  ASSERT_LE(f.unacked(), 2u);
-  ASSERT_EQ(f.retransmits(), 0u);
-  EXPECT_GT(f.chaos_dropped(), 0u);
-  // One more piggyback retires the 1 -> 0 tail; its own explicit ACK,
-  // now let through, retires it.
-  f.set_drop_filter(nullptr);
-  f.send(make_packet(0, 1, kRounds));
-  ASSERT_TRUE(f.quiesce(60s));
+  EXPECT_EQ(base::counters().value("fabric.acks") - acks_before,
+            2u * kRounds);
   EXPECT_EQ(f.endpoint(0).delivered(), static_cast<std::uint64_t>(kRounds));
-  EXPECT_EQ(f.endpoint(1).delivered(),
-            static_cast<std::uint64_t>(kRounds + 1));
+  EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kRounds));
   EXPECT_EQ(f.retransmits(), 0u);
-  EXPECT_EQ(f.dup_suppressed(), 0u);
-  EXPECT_EQ(f.unacked(), 0u);
 }
 
 TEST(Reliability, DropFilterTogglesFromAThirdThreadDuringTwoSenders) {
@@ -335,8 +347,8 @@ TEST(Reliability, DropFilterTogglesFromAThirdThreadDuringTwoSenders) {
 }
 
 TEST(Reliability, OneWayTrafficMaterializesOneFlow) {
-  // Flows materialize lazily, and linking a reverse flow must not create
-  // one: 0 -> 1 traffic (and the explicit ACKs it provokes) touches the
+  // Flows materialize lazily: 0 -> 1 traffic (and the flow_acks it
+  // provokes, which travel with the flow they acknowledge) touches the
   // 0 -> 1 flow only.
   auto f = make_fabric();
   constexpr int kPackets = 50;
