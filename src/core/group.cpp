@@ -139,7 +139,7 @@ Group Group::incl(const std::vector<int>& ranks) const {
 Group Group::excl(const std::vector<int>& ranks) const {
   std::set<int> drop;
   for (int r : ranks) {
-    global_of(r);  // validate
+    (void)global_of(r);  // validate
     if (!drop.insert(r).second) {
       throw Error(ErrClass::rank, "duplicate rank in excl");
     }

@@ -55,7 +55,7 @@ bool CollectiveEngine::try_abort_locked(const std::string& key,
 
 CollectiveEngine::Outcome CollectiveEngine::arrive(
     const std::string& key, const std::vector<ProcId>& participants,
-    ProcId self, std::optional<base::Nanos> timeout,
+    ProcId /*self*/, std::optional<base::Nanos> timeout,
     const std::function<std::uint64_t()>& on_complete,
     std::int64_t post_release_delay_ns) {
   std::unique_lock lock(mu_);

@@ -26,7 +26,7 @@ TEST(Fuzz, RandomPairwiseTrafficAllDelivered) {
   // tags; receivers collect with wildcard receives and verify content
   // against the embedded (src, tag) metadata.
   constexpr int kMsgs = 40;
-  world_run(2, 3, [](sim::Process& p) {
+  world_run(2, 3, [](sim::Process&) {
     Communicator world = comm_world();
     const int n = world.size();
     const int me = world.rank();
@@ -75,7 +75,7 @@ TEST(Fuzz, RandomPairwiseTrafficAllDelivered) {
 
 TEST(Fuzz, MixedEagerAndRendezvousSizes) {
   // Random sizes straddling the eager limit; contents checked byte-wise.
-  world_run(1, 4, [](sim::Process& p) {
+  world_run(1, 4, [](sim::Process&) {
     Communicator world = comm_world();
     const int me = world.rank();
     const int n = world.size();

@@ -279,7 +279,7 @@ class Pt2PtShapes : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(Pt2PtShapes, RingPassesTokenAroundWorld) {
   const auto [nodes, ppn] = GetParam();
-  world_run(nodes, ppn, [](sim::Process& p) {
+  world_run(nodes, ppn, [](sim::Process&) {
     Communicator world = comm_world();
     const int n = world.size();
     const int me = world.rank();

@@ -125,7 +125,7 @@ TEST(Win, OutOfBoundsAccessThrows) {
     std::int64_t v = 0;
     EXPECT_THROW(win.put(&v, 1, Datatype::int64(), 1, 9), Error);
     EXPECT_THROW(win.get(&v, 1, Datatype::int64(), 1, 16), Error);
-    EXPECT_THROW(win.size_of(5), Error);
+    EXPECT_THROW((void)win.size_of(5), Error);
     win.fence();
     win.free();
   });

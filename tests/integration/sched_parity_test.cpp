@@ -379,7 +379,7 @@ SCHED_CASE(Ring, ring_scenario())
 SCHED_CASE(Allreduce, allreduce_scenario())
 SCHED_CASE(RevokeShrink, shrink_scenario())
 SCHED_CASE(CheckpointRestoreNodeKill, ckpt_node_kill_scenario())
-SCHED_CASE(NeverContactedVictim, ckpt_restore_scenario({.dead_on_arrival = 4}))
+SCHED_CASE(NeverContactedVictim, ckpt_restore_scenario({.kill_node_at = {}, .dead_on_arrival = 4}))
 
 #undef SCHED_CASE
 

@@ -243,7 +243,7 @@ TEST(ModexLazy, UnpublishedLivePeerTimesOutInsteadOfHanging)  {
 TEST(ModexLazy, SecondCommunicatorReusesPerRankCache) {
   const std::uint64_t f0 = fetches();
   std::atomic<std::uint64_t> after_first{0};
-  sessmpi::testing::mpi_run(1, 4, [&](sim::Process& p) {
+  sessmpi::testing::mpi_run(1, 4, [&](sim::Process&) {
     Session s = Session::init();
     Group g = s.group_from_pset("mpi://world");
     const auto ring = [&](Communicator& c, int tag) {
