@@ -16,7 +16,6 @@
 #include "sessmpi/ckpt/ckpt.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -200,23 +199,10 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
     own_bytes += ds.bytes;
   }
 
-  // A revocation observed at any point before the vote invalidates this
-  // save; the flag outlives this frame (the observer may fire later, after
-  // an abort already threw out of here).
-  auto invalidated = std::make_shared<std::atomic<bool>>(false);
-  const int obs_id =
-      comm.on_revoke([invalidated] { invalidated->store(true); });
-  struct ObserverGuard {
-    const Communicator& comm;
-    int id;
-    ~ObserverGuard() {
-      if (id != -1) {
-        comm.remove_on_revoke(id);
-      }
-    }
-  } obs_guard{comm, obs_id};
-
-  bool ok = obs_id != -1;  // -1: already revoked when we attached
+  // A revocation seen at any point before the vote invalidates this save.
+  // The revoked flag is sticky, so reading it here and again before the
+  // vote misses none.
+  bool ok = !comm.is_revoked();
 
   std::uint32_t seq;
   {
@@ -226,28 +212,36 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
 
   // Stage 2: redundancy — the erasure-set chunk exchange + parity encode.
   const std::int64_t enc0 = mono_ns();
-  ::sessmpi::obs::Tracer::instance().begin("ckpt.encode", "ckpt");
   std::size_t redundancy_bytes = 0;
-  for (std::size_t si = 0; si < staging.sets.size(); ++si) {
-    const int idx = staging.sets[si].member_of(me);
-    if (idx >= 0) {
-      staging.my_set = static_cast<int>(si);
-      staging.my_idx = idx;
+  {
+    OBS_SPAN("ckpt.encode", "ckpt");
+    for (std::size_t si = 0; si < staging.sets.size(); ++si) {
+      const int idx = staging.sets[si].member_of(me);
+      if (idx >= 0) {
+        staging.my_set = static_cast<int>(si);
+        staging.my_idx = idx;
+      }
     }
-  }
-  const SetLayout& lay =
-      staging.sets[static_cast<std::size_t>(staging.my_set)];
-  const int g = lay.size();
-  const int kk = lay.data;
-  const int mm = lay.parity;
-  const int idx = staging.my_idx;
-  if (ok && mm > 0) {
-    std::vector<std::byte> mine = encode_snapshot(staging.own);
-    staging.blob_sizes.assign(static_cast<std::size_t>(g), 0);
-    staging.blob_sizes[static_cast<std::size_t>(idx)] = mine.size();
-    const std::uint64_t my_size = mine.size();
-    std::vector<detail::RequestPtr> cleanup;
-    try {
+    const SetLayout& lay =
+        staging.sets[static_cast<std::size_t>(staging.my_set)];
+    const int g = lay.size();
+    const int kk = lay.data;
+    const int mm = lay.parity;
+    const int idx = staging.my_idx;
+    if (ok && mm > 0) {
+      std::vector<std::byte> mine = encode_snapshot(staging.own);
+      staging.blob_sizes.assign(static_cast<std::size_t>(g), 0);
+      staging.blob_sizes[static_cast<std::size_t>(idx)] = mine.size();
+      const std::uint64_t my_size = mine.size();
+      // The chunk buffers outlive `cleanup`, which scrubs their receives.
+      struct ChunkRecv {
+        int stripe = 0;
+        int j = 0;
+        std::vector<std::byte> buf;
+        detail::RequestPtr req;
+      };
+      std::vector<std::unique_ptr<ChunkRecv>> incoming;
+      detail::PostedScrub cleanup(ps, *s);
       // Set-internal size allgather (sub-tag 0): every member learns
       // every blob size, so all compute the same chunk length.
       std::vector<detail::RequestPtr> size_recvs;
@@ -255,11 +249,10 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
         if (x == idx) {
           continue;
         }
-        size_recvs.push_back(ps.irecv_impl(
+        size_recvs.push_back(cleanup.add(ps.irecv_impl(
             s, &staging.blob_sizes[static_cast<std::size_t>(x)], 1,
             datatype_of<std::uint64_t>(), lay.members[x],
-            detail::ckpt_tag(seq, 0)));
-        cleanup.push_back(size_recvs.back());
+            detail::ckpt_tag(seq, 0))));
       }
       for (int x = 0; x < g; ++x) {
         if (x != idx) {
@@ -290,13 +283,6 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
         // Receive the data chunks of every stripe I hold parity for
         // (sub-tag 2 + stripe*g + chunk), send my own chunks to their
         // stripes' parity holders.
-        struct ChunkRecv {
-          int stripe = 0;
-          int j = 0;
-          std::vector<std::byte> buf;
-          detail::RequestPtr req;
-        };
-        std::vector<std::unique_ptr<ChunkRecv>> incoming;
         for (int st = 0; st < g; ++st) {
           if (lay.parity_index(st, idx) < 0) {
             continue;
@@ -306,12 +292,11 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
             cr->stripe = st;
             cr->j = j;
             cr->buf.resize(clen);
-            cr->req = ps.irecv_impl(
+            cr->req = cleanup.add(ps.irecv_impl(
                 s, cr->buf.data(), static_cast<int>(clen),
                 datatype_of<std::byte>(),
                 lay.members[lay.data_member(st, j)],
-                detail::ckpt_tag(seq, 2 + st * g + j));
-            cleanup.push_back(cr->req);
+                detail::ckpt_tag(seq, 2 + st * g + j)));
             incoming.push_back(std::move(cr));
           }
         }
@@ -354,18 +339,12 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
           }
         }
       }
-    } catch (...) {
-      ps.scrub_posted(*s, cleanup);
-      ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
-      throw;
     }
-    ps.scrub_posted(*s, cleanup);
   }
-  ::sessmpi::obs::Tracer::instance().end("ckpt.encode", "ckpt");
   obs::histogram("ckpt.encode_ns")
       .record(static_cast<std::uint64_t>(mono_ns() - enc0));
 
-  if (invalidated->load()) {
+  if (comm.is_revoked()) {
     ok = false;
   }
 
@@ -384,7 +363,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
   }();
   if ((verdict & 1ull) == 0) {
     base::counters().add("ckpt.aborted_saves");
-    if (invalidated->load() || comm.is_revoked()) {
+    if (comm.is_revoked()) {
       throw Error(ErrClass::comm_revoked,
                   "ckpt: save invalidated by communicator revocation");
     }
@@ -778,8 +757,8 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
       detail::RequestPtr req;
     };
     std::vector<std::unique_ptr<XferRecv>> xin;
-    std::vector<detail::RequestPtr> cleanup;
-    try {
+    {
+      detail::PostedScrub cleanup(ps, *s);
       const auto sit = stripes_of.find(my_idx);
       if (sit != stripes_of.end()) {
         for (int st : sit->second) {
@@ -791,11 +770,10 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
             xr->stripe = st;
             xr->from_pos = (x - st + g) % g;
             xr->buf.resize(clen);
-            xr->req = ps.irecv_impl(
+            xr->req = cleanup.add(ps.irecv_impl(
                 s, xr->buf.data(), static_cast<int>(clen),
                 datatype_of<std::byte>(), new_rank_of(x),
-                detail::ckpt_tag(rseq, 2 + st * g + xr->from_pos));
-            cleanup.push_back(xr->req);
+                detail::ckpt_tag(rseq, 2 + st * g + xr->from_pos)));
             xin.push_back(std::move(xr));
           }
         }
@@ -821,11 +799,7 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
           bad = 1;
         }
       }
-    } catch (...) {
-      ps.scrub_posted(*s, cleanup);
-      throw;
     }
-    ps.scrub_posted(*s, cleanup);
 
     if (bad == 0 && stripes_of.contains(my_idx)) {
       const SetCodec codec(kk, mm);

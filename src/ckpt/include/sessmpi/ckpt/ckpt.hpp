@@ -30,8 +30,9 @@
 //      no ".ok", so restore falls back to the previous durable epoch.
 //
 // A revocation of the communicator mid-save invalidates the in-flight
-// epoch (via Communicator::on_revoke) and the save completes with
-// Error(comm_revoked) on every rank, previous epochs intact.
+// epoch (save reads the sticky Communicator::is_revoked flag before the
+// vote) and the save completes with Error(comm_revoked) on every rank,
+// previous epochs intact.
 //
 // After failures the application shrinks and calls `restore(new_comm)`:
 // survivors propose the newest epoch everyone committed (allreduce-min),

@@ -48,6 +48,19 @@ std::shared_ptr<CommState> fresh_comm(ProcState& ps, const Errhandler& errh,
   return std::move(comm.value());
 }
 
+/// What probe/iprobe report for a peeked arrival: a rendezvous RTS carries
+/// no payload yet, so its count is the size the sender advertised.
+Status probe_status(const fabric::Packet& pkt) {
+  Status st;
+  st.source = pkt.match.src;
+  st.tag = pkt.match.tag;
+  st.count_bytes = pkt.kind == fabric::PacketKind::rndv_rts ||
+                           pkt.kind == fabric::PacketKind::rndv_rts_ext
+                       ? pkt.advertised_size
+                       : pkt.payload.size();
+  return st;
+}
+
 std::vector<int> all_ranks(int n) {
   std::vector<int> v(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -126,25 +139,6 @@ AttributeStore& Communicator::attributes() const {
   return checked(state_)->attrs;
 }
 
-int Communicator::on_revoke(std::function<void()> fn) const {
-  const auto& s = checked(state_);
-  std::lock_guard lock(s->ps->mu);
-  if (s->revoked) {
-    // Already revoked: never let an observer miss the event.
-    fn();
-    return -1;
-  }
-  const int id = s->next_revoke_observer++;
-  s->revoke_observers.emplace(id, std::move(fn));
-  return id;
-}
-
-void Communicator::remove_on_revoke(int id) const {
-  const auto& s = checked(state_);
-  std::lock_guard lock(s->ps->mu);
-  s->revoke_observers.erase(id);
-}
-
 // ---------------------------------------------------------------------------
 // Point-to-point
 // ---------------------------------------------------------------------------
@@ -221,12 +215,7 @@ Status Communicator::probe(int src, int tag) const {
     if (pkt == nullptr) {
       return false;
     }
-    st.source = pkt->match.src;
-    st.tag = pkt->match.tag;
-    st.count_bytes = pkt->kind == fabric::PacketKind::rndv_rts ||
-                             pkt->kind == fabric::PacketKind::rndv_rts_ext
-                         ? pkt->advertised_size
-                         : pkt->payload.size();
+    st = probe_status(*pkt);
     return true;
   });
   return st;
@@ -242,12 +231,7 @@ bool Communicator::iprobe(int src, int tag, Status* status) const {
     return false;
   }
   if (status != nullptr) {
-    status->source = pkt->match.src;
-    status->tag = pkt->match.tag;
-    status->count_bytes = pkt->kind == fabric::PacketKind::rndv_rts ||
-                                  pkt->kind == fabric::PacketKind::rndv_rts_ext
-                              ? pkt->advertised_size
-                              : pkt->payload.size();
+    *status = probe_status(*pkt);
   }
   return true;
 }

@@ -43,7 +43,7 @@ constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 // ---------------------------------------------------------------------------
 
 void PostedQueues::insert(const RequestPtr& req) {
-  Bin& bin = req->src == any_source ? wildcard_ : bins_[req->src];
+  Bin& bin = req->peer == any_source ? wildcard_ : bins_[req->peer];
   if (req->tag == any_tag) {
     bin.any_tag.push_back(req);
   } else {
@@ -225,17 +225,13 @@ const fabric::Packet* UnexpectedQueues::peek_match(int src, int tag) const {
 // Matching
 // ---------------------------------------------------------------------------
 
-RequestPtr ProcState::match_posted(CommState& comm, const fabric::Packet& pkt) {
-  return comm.posted.take_match(pkt.match.src, pkt.match.tag);
-}
-
 bool ProcState::match_against_unexpected(CommState& comm,
                                          const RequestPtr& req) {
-  auto pkt = comm.unexpected.take_match(req->src, req->tag);
+  auto pkt = comm.unexpected.take_match(req->peer, req->tag);
   if (!pkt) {
     return false;
   }
-  deliver(comm, req, std::move(*pkt));
+  deliver(req, std::move(*pkt));
   return true;
 }
 
@@ -267,26 +263,24 @@ void ProcState::handle_incoming(const std::shared_ptr<CommState>& comm,
       seq_anomalies.add();
     }
   }
-  if (RequestPtr req = match_posted(*comm, pkt)) {
-    deliver(*comm, req, std::move(pkt));
+  if (RequestPtr req = comm->posted.take_match(pkt.match.src, pkt.match.tag)) {
+    deliver(req, std::move(pkt));
   } else {
     comm->unexpected.insert(std::move(pkt), comm->next_match_stamp++);
   }
 }
 
-void ProcState::deliver(CommState& comm, const RequestPtr& req,
-                        fabric::Packet&& pkt) {
-  (void)comm;  // kept in the signature for symmetry / future stats
+void ProcState::deliver(const RequestPtr& req, fabric::Packet&& pkt) {
   Status st;
   st.source = pkt.match.src;
   st.tag = pkt.match.tag;
 
   if (pkt.kind == fabric::PacketKind::rndv_rts ||
       pkt.kind == fabric::PacketKind::rndv_rts_ext) {
-    // Rendezvous: remember the request under (sender, token) and clear the
-    // sender to ship the data.
-    req->rndv_source = pkt.match.src;
-    req->rndv_tag = pkt.match.tag;
+    // Rendezvous: remember the request, now naming its matched sender and
+    // tag, under (sender, token) and clear the sender to ship the data.
+    req->peer = pkt.match.src;
+    req->tag = pkt.match.tag;
     recv_tokens[{pkt.src_rank, pkt.token}] = req;
     fabric::Packet cts;
     cts.kind = fabric::PacketKind::rndv_cts;
@@ -395,8 +389,8 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
       recv_tokens.erase(it);
       Status st;
       unpack_payload(*req, pkt, st);
-      st.source = req->rndv_source;
-      st.tag = req->rndv_tag;
+      st.source = req->peer;
+      st.tag = req->tag;
       req->finish(st);
       return;
     }
@@ -467,14 +461,6 @@ void ProcState::revoke_comm_locked(const std::shared_ptr<CommState>& comm,
     }
   }
 
-  const auto poison = [](const RequestPtr& r, int source, int tag) {
-    Status st;
-    st.source = source;
-    st.tag = tag;
-    st.error = ErrClass::comm_revoked;
-    r->finish(st);
-  };
-
   // In-flight nonblocking collectives on this comm abort first, retiring
   // exactly the receives their schedules posted. One last advance comes
   // first: a schedule whose steps all completed (say, a leader whose
@@ -490,54 +476,18 @@ void ProcState::revoke_comm_locked(const std::shared_ptr<CommState>& comm,
     return true;
   });
 
-  // Pending receives; FT-protocol operations keep working (agreement and
-  // shrink must be able to communicate over the revoked communicator).
-  comm->posted.erase_if([&](const RequestPtr& req) {
-    if (is_ft_tag(req->tag)) {
-      return false;
-    }
-    poison(req, req->src, req->tag);
-    return true;
+  // Every pending operation on this comm, unless it is FT-protocol traffic
+  // (agreement and shrink must be able to communicate over the revoked
+  // communicator): posted receives, sends parked on a CTS or ACK, and
+  // matched rendezvous receives whose data is no longer coming.
+  fail_pending_locked(ErrClass::comm_revoked, [&](const RequestImpl& req) {
+    return req.comm == comm.get() && !is_ft_tag(req.tag);
   });
   // Unmatched arrivals: any receive that could match them would be poisoned
   // anyway, so drop them before they can satisfy a post-revoke FT wildcard.
   comm->unexpected.erase_if([](const fabric::Packet& p) {
     return !is_ft_tag(p.match.tag);
   });
-  // Rendezvous / synchronous sends parked on a CTS or ACK from a peer that
-  // will never answer on this comm again.
-  for (auto it = send_tokens.begin(); it != send_tokens.end();) {
-    const RequestPtr& req = it->second;
-    if (req->comm == comm.get() && !is_ft_tag(req->tag)) {
-      poison(req, req->dst, req->tag);
-      it = send_tokens.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Matched rendezvous receives whose bulk data is no longer coming.
-  for (auto it = recv_tokens.begin(); it != recv_tokens.end();) {
-    const RequestPtr& req = it->second;
-    if (req->comm == comm.get() && !is_ft_tag(req->rndv_tag)) {
-      poison(req, req->rndv_source, req->rndv_tag);
-      it = recv_tokens.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Fire the revocation observers exactly once, after poisoning, so an
-  // observer (e.g. an in-flight checkpoint save) that inspects its pending
-  // requests sees them already completed with comm_revoked. Observers run
-  // under ps.mu (recursive), so they may query the communicator but must
-  // not block.
-  if (!comm->revoke_observers.empty()) {
-    auto observers = std::move(comm->revoke_observers);
-    comm->revoke_observers.clear();
-    for (auto& [id, fn] : observers) {
-      fn();
-    }
-  }
 
   if (!flood) {
     return;
@@ -636,49 +586,32 @@ bool ProcState::advance_nbc_locked() {
          }) > 0;
 }
 
-void ProcState::sweep_failed_peers_locked() {
-  fabric::Fabric& fab = proc.cluster().fabric();
-  const auto failed_status = [](int source, int tag) {
-    Status st;
-    st.source = source;
-    st.tag = tag;
-    st.error = ErrClass::rte_proc_failed;
-    return st;
+template <class Pred>
+void ProcState::fail_pending_locked(ErrClass cls, Pred pred) {
+  const auto fail = [&](const RequestPtr& req) {
+    if (!pred(*req)) {
+      return false;
+    }
+    req->finish(Status{req->peer, req->tag, cls});
+    return true;
   };
-  // Posted receives from a specific, now-dead source.
   for (auto& comm : comm_by_cid) {
-    if (!comm || comm->freed) {
-      continue;
-    }
-    comm->posted.erase_if([&](const RequestPtr& req) {
-      if (req->src == any_source || !fab.is_failed(comm->global_of(req->src))) {
-        return false;
-      }
-      req->finish(failed_status(req->src, req->tag));
-      return true;
-    });
-  }
-  // Rendezvous / synchronous sends waiting on a dead peer's CTS or ACK.
-  for (auto it = send_tokens.begin(); it != send_tokens.end();) {
-    RequestPtr& req = it->second;
-    if (req->comm != nullptr && req->dst >= 0 &&
-        fab.is_failed(req->comm->global_of(req->dst))) {
-      req->finish(failed_status(req->dst, req->tag));
-      it = send_tokens.erase(it);
-    } else {
-      ++it;
+    if (comm && !comm->freed) {
+      comm->posted.erase_if(fail);
     }
   }
-  // Rendezvous receives whose matched sender died before shipping the data.
-  for (auto it = recv_tokens.begin(); it != recv_tokens.end();) {
-    if (fab.is_failed(it->first.first)) {
-      it->second->finish(
-          failed_status(it->second->rndv_source, it->second->rndv_tag));
-      it = recv_tokens.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto fail_entry = [&](const auto& entry) { return fail(entry.second); };
+  std::erase_if(send_tokens, fail_entry);
+  std::erase_if(recv_tokens, fail_entry);
+}
+
+void ProcState::sweep_failed_peers_locked() {
+  // A specific peer that is now dead; a receive posted with any_source
+  // names no peer and keeps waiting for the live ones.
+  fabric::Fabric& fab = proc.cluster().fabric();
+  fail_pending_locked(ErrClass::rte_proc_failed, [&](const RequestImpl& req) {
+    return req.peer >= 0 && fab.is_failed(req.comm->global_of(req.peer));
+  });
 }
 
 void ProcState::progress_until(const std::function<bool()>& done,
@@ -762,7 +695,8 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
   RequestPtr req = make_request();
   req->ps = this;
   req->comm = comm.get();
-  req->dst = dst;
+  req->peer = dst;
+  req->tag = tag;
 
   const std::size_t bytes = packed_bytes(count, dt);
   OBS_SPAN_ARG("pml.send", "core", bytes);
@@ -861,7 +795,7 @@ RequestPtr ProcState::irecv_impl(const std::shared_ptr<CommState>& comm,
   req->buf = buf;
   req->capacity = count;
   req->dt = dt;
-  req->src = src;
+  req->peer = src;
   req->tag = tag;
 
   OBS_SPAN("pml.recv.post", "core");

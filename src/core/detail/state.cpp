@@ -180,7 +180,6 @@ std::shared_ptr<CommState> ProcState::register_comm(
   comm->cid = static_cast<std::uint16_t>(cid);
   comm->excid_space = space;
   comm->uses_excid = uses_excid;
-  comm->method = method;
   // peers/acked are sparse (populated on contact / acknowledgement), so a
   // 16k-member comm costs nothing per rank until traffic actually flows.
 

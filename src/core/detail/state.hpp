@@ -47,26 +47,26 @@ struct RequestImpl {
   std::atomic<bool> complete{false};
   Status status{};
 
+  /// The one peer (comm rank) and tag of the operation: a send's
+  /// destination and tag; a receive's posted source and tag, overwritten
+  /// with the matched sender's when a rendezvous RTS matches it (the data
+  /// completes it later). A failure or revocation finishes a pending
+  /// request with exactly these (ProcState::fail_pending_locked).
+  int peer = any_source;
+  int tag = any_tag;
+
   // Receive bookkeeping.
   void* buf = nullptr;
   int capacity = 0;  ///< max elements
   std::optional<Datatype> dt;
-  int src = any_source;
-  int tag = any_tag;
 
   // Send bookkeeping (rendezvous payload staged until CTS; sync token).
   fabric::Payload staged;
   std::uint64_t token = 0;
-  int dst = -1;
 
   /// Monotonic posting order within the owning comm (CommState stamp
   /// counter); bin-vs-wildcard match arbitration compares these.
   std::uint64_t post_stamp = 0;
-
-  // Matched rendezvous source/tag (set when the RTS matches; the Status is
-  // finalized when the bulk data arrives).
-  int rndv_source = -1;
-  int rndv_tag = -1;
 
   // Nonblocking-collective schedule (src/coll).
   std::unique_ptr<NbcOp> nbc;
@@ -218,7 +218,6 @@ struct CommState {
   std::uint16_t cid = 0;      ///< local 16-bit array index
   ExCidSpace excid_space = ExCidSpace::builtin(0);
   bool uses_excid = false;    ///< sessions wire protocol (ext header + ACK)
-  CidMethod method = CidMethod::excid;
   std::string comm_name;
   Errhandler errh = Errhandler::errors_are_fatal();
   mutable AttributeStore attrs;
@@ -226,18 +225,13 @@ struct CommState {
   bool freed = false;
 
   // --- fault tolerance (ULFM-style) ---------------------------------------
-  bool revoked = false;         ///< revoke() observed: non-FT ops poisoned
+  /// revoke() observed: non-FT ops poisoned. Sticky — it never clears, so
+  /// a protocol (a checkpoint save) that reads it before committing sees
+  /// every revocation that reached this rank by then.
+  bool revoked = false;
   std::uint32_t ft_seq = 0;     ///< FT collective ordinal (agree/shrink tags)
   std::uint32_t ckpt_seq = 0;   ///< checkpoint collective ordinal (src/ckpt)
   std::set<int> acked;          ///< comm ranks whose failure was acknowledged
-
-  /// Revocation observers: hooks attached to this communicator that fire
-  /// exactly once, on the thread that first observes the revocation (local
-  /// revoke() call or remote revoke flood), after pending operations were
-  /// poisoned. src/ckpt attaches one per in-flight save so a revoked comm
-  /// invalidates the staged epoch instead of committing over it.
-  std::map<int, std::function<void()>> revoke_observers;
-  int next_revoke_observer = 0;
 
   struct Peer {
     int remote_cid = -1;   ///< peer's local CID once learned (ACK/ext header)
@@ -495,12 +489,13 @@ struct ProcState {
   bool advance_nbc_locked();
 
   /// Revoke `comm` (mu held): mark it, complete every pending non-FT
-  /// operation with comm_revoked, and — when `flood` — reliably broadcast
-  /// the revocation to all live peers (each receiver re-floods once, so the
-  /// wave survives the initiator dying mid-broadcast). `trace_ctx` is the
-  /// causal trace context of the incoming revoke packet (0 when we are the
-  /// initiator); the re-flood carries the same id so the whole wave renders
-  /// as one distributed trace.
+  /// operation with comm_revoked (fail_pending_locked), and — when `flood`
+  /// — reliably broadcast the revocation to all live peers (each receiver
+  /// re-floods once, so the wave survives the initiator dying
+  /// mid-broadcast). `trace_ctx` is the causal trace context of the
+  /// incoming revoke packet (0 when we are the initiator); the re-flood
+  /// carries the same id so the whole wave renders as one distributed
+  /// trace.
   void revoke_comm_locked(const std::shared_ptr<CommState>& comm, bool flood,
                           std::uint64_t trace_ctx = 0);
 
@@ -508,12 +503,41 @@ struct ProcState {
   // Matching internals; all called with mu held.
   /// Complete requests whose specific peer has failed (mu held).
   void sweep_failed_peers_locked();
+  /// Finish every pending point-to-point request `pred` selects with
+  /// Status{peer, tag, cls} (mu held): posted receives of the live
+  /// communicators, sends parked on a CTS or sync ACK (send_tokens), and
+  /// matched rendezvous receives waiting on their data (recv_tokens). The
+  /// one path by which a revocation or a peer failure ends an operation.
+  template <class Pred>
+  void fail_pending_locked(ErrClass cls, Pred pred);
 
-  RequestPtr match_posted(CommState& comm, const fabric::Packet& pkt);
   bool match_against_unexpected(CommState& comm, const RequestPtr& req);
   void handle_incoming(const std::shared_ptr<CommState>& comm,
                        fabric::Packet&& pkt);
-  void deliver(CommState& comm, const RequestPtr& req, fabric::Packet&& pkt);
+  void deliver(const RequestPtr& req, fabric::Packet&& pkt);
+};
+
+/// Holds the receives a protocol body posts into buffers of its own frame.
+/// However the body leaves — return or throw — the destructor takes any
+/// still posted off `comm`'s queue (ProcState::scrub_posted), so a late
+/// match cannot write through a dangling pointer.
+class PostedScrub {
+ public:
+  PostedScrub(ProcState& ps, CommState& comm) : ps_(ps), comm_(comm) {}
+  PostedScrub(const PostedScrub&) = delete;
+  PostedScrub& operator=(const PostedScrub&) = delete;
+  ~PostedScrub() { ps_.scrub_posted(comm_, reqs_); }
+
+  /// Track `req`; returns it for the caller's own bookkeeping.
+  RequestPtr add(RequestPtr req) {
+    reqs_.push_back(req);
+    return req;
+  }
+
+ private:
+  ProcState& ps_;
+  CommState& comm_;
+  std::vector<RequestPtr> reqs_;
 };
 
 /// World Process Model object construction/teardown (defined in world.cpp;

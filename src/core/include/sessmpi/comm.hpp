@@ -10,7 +10,6 @@
 // header until the per-peer CID handshake completes (§III-B4).
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -176,16 +175,6 @@ class Communicator {
   /// surviving members (agree on the survivor set, then drive the regular
   /// exCID construction path over it). Works on a revoked communicator.
   [[nodiscard]] Communicator shrink() const;
-
-  /// Attach a revocation observer: `fn` runs exactly once when this
-  /// communicator is revoked (locally or by a remote flood), after pending
-  /// operations were poisoned — or immediately if it is already revoked.
-  /// Observers run on the thread that observes the revocation, under the
-  /// process lock: they must not block or issue MPI calls. Returns an id
-  /// for remove_on_revoke. Used by src/ckpt to invalidate in-flight saves.
-  int on_revoke(std::function<void()> fn) const;
-  /// Detach an observer before it fired; no-op for unknown/fired ids.
-  void remove_on_revoke(int id) const;
 
   /// MPI_Comm_free: release local resources (attribute delete callbacks run).
   void free();

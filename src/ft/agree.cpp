@@ -125,102 +125,93 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
     return me;
   };
 
-  std::vector<detail::RequestPtr> cleanup;
-
-  // Persistent watcher: any decider may flood the result at any time.
-  std::uint64_t flooded = 0;
-  detail::RequestPtr result_any = ps.irecv_impl(
-      s, &flooded, 1, datatype_of<std::uint64_t>(), any_source, tag_result);
-  cleanup.push_back(result_any);
-
   std::uint64_t decided = contribution;
-  try {
-  for (;;) {
-    if (result_any->done()) {
-      decided = flooded;
-      break;
-    }
-    const int coord = lowest_live();
-    if (coord == me) {
-      // Gather one contribution per live member. A member that dies midway
-      // completes its receive through the failure sweep (excluded); a
-      // member that already decided floods instead of contributing, which
-      // fires result_any and we adopt its value.
-      std::vector<detail::RequestPtr> recvs(static_cast<std::size_t>(n));
-      std::vector<std::uint64_t> contribs(static_cast<std::size_t>(n), 0);
-      for (int r = 0; r < n; ++r) {
-        if (r == me || fab.is_failed(s->global_of(r))) {
-          continue;
-        }
-        recvs[static_cast<std::size_t>(r)] =
-            ps.irecv_impl(s, &contribs[static_cast<std::size_t>(r)], 1,
-                          datatype_of<std::uint64_t>(), r, tag_contrib);
-        cleanup.push_back(recvs[static_cast<std::size_t>(r)]);
-      }
-      ps.progress_until([&] {
-        if (result_any->done()) {
-          return true;
-        }
-        for (const auto& r : recvs) {
-          if (r && !r->done()) {
-            return false;
-          }
-        }
-        return true;
-      });
-      if (result_any->done()) {
-        decided = flooded;
-      } else {
-        for (int r = 0; r < n; ++r) {
-          const auto& req = recvs[static_cast<std::size_t>(r)];
-          if (req && req->status.error == ErrClass::success) {
-            decided &= contribs[static_cast<std::size_t>(r)];
-          }
-        }
-      }
-      hook(ft::AgreeStep::coordinator_gathered, me);
-      break;
-    }
-
-    // Follower: push the contribution (eager — completes locally even if
-    // the coordinator is already gone) and watch the coordinator.
-    hook(ft::AgreeStep::follower_pre_push, me);
-    ps.isend_impl(s, &contribution, 1, datatype_of<std::uint64_t>(), coord,
-                  tag_contrib, /*sync=*/false);
-    hook(ft::AgreeStep::follower_post_push, me);
-    std::uint64_t watched = 0;
-    detail::RequestPtr watch = ps.irecv_impl(s, &watched, 1,
-                                             datatype_of<std::uint64_t>(),
-                                             coord, tag_result);
-    cleanup.push_back(watch);
-    ps.progress_until([&] { return result_any->done() || watch->done(); });
-    if (result_any->done()) {
-      decided = flooded;
-      break;
-    }
-    if (watch->status.error == ErrClass::success) {
-      // The flood from the coordinator matched the specific-source watch
-      // (possible when result_any already fired for an earlier packet...
-      // it has not here, but a direct match is equivalent).
-      decided = watched;
-      break;
-    }
-    // Coordinator died; converge on the next lowest live rank. This is the
-    // closest thing the protocol has to an "agreement timeout" (there is no
-    // timer — the failure sweep completes the watch), so it doubles as a
-    // flight-recorder trigger.
-    base::counters().add("ft.agree_coordinator_deaths");
-    obs::trigger_postmortem("agree_coordinator_death");
-  }
-  } catch (...) {
+  {
+    // Persistent watcher: any decider may flood the result at any time.
+    std::uint64_t flooded = 0;
     // A throw mid-protocol (self marked failed, cluster abort, or a test
     // hook modeling a crash) must not leave posted receives pointing at
     // this dying stack frame.
-    ps.scrub_posted(*s, cleanup);
-    throw;
-  }
+    detail::PostedScrub cleanup(ps, *s);
+    detail::RequestPtr result_any = cleanup.add(ps.irecv_impl(
+        s, &flooded, 1, datatype_of<std::uint64_t>(), any_source, tag_result));
 
-  ps.scrub_posted(*s, cleanup);
+    for (;;) {
+      if (result_any->done()) {
+        decided = flooded;
+        break;
+      }
+      const int coord = lowest_live();
+      if (coord == me) {
+        // Gather one contribution per live member. A member that dies midway
+        // completes its receive through the failure sweep (excluded); a
+        // member that already decided floods instead of contributing, which
+        // fires result_any and we adopt its value.
+        std::vector<detail::RequestPtr> recvs(static_cast<std::size_t>(n));
+        std::vector<std::uint64_t> contribs(static_cast<std::size_t>(n), 0);
+        for (int r = 0; r < n; ++r) {
+          if (r == me || fab.is_failed(s->global_of(r))) {
+            continue;
+          }
+          recvs[static_cast<std::size_t>(r)] = cleanup.add(
+              ps.irecv_impl(s, &contribs[static_cast<std::size_t>(r)], 1,
+                            datatype_of<std::uint64_t>(), r, tag_contrib));
+        }
+        ps.progress_until([&] {
+          if (result_any->done()) {
+            return true;
+          }
+          for (const auto& r : recvs) {
+            if (r && !r->done()) {
+              return false;
+            }
+          }
+          return true;
+        });
+        if (result_any->done()) {
+          decided = flooded;
+        } else {
+          for (int r = 0; r < n; ++r) {
+            const auto& req = recvs[static_cast<std::size_t>(r)];
+            if (req && req->status.error == ErrClass::success) {
+              decided &= contribs[static_cast<std::size_t>(r)];
+            }
+          }
+        }
+        hook(ft::AgreeStep::coordinator_gathered, me);
+        break;
+      }
+
+      // Follower: push the contribution (eager — completes locally even if
+      // the coordinator is already gone) and watch the coordinator.
+      hook(ft::AgreeStep::follower_pre_push, me);
+      ps.isend_impl(s, &contribution, 1, datatype_of<std::uint64_t>(), coord,
+                    tag_contrib, /*sync=*/false);
+      hook(ft::AgreeStep::follower_post_push, me);
+      std::uint64_t watched = 0;
+      detail::RequestPtr watch = cleanup.add(
+          ps.irecv_impl(s, &watched, 1, datatype_of<std::uint64_t>(), coord,
+                        tag_result));
+      ps.progress_until([&] { return result_any->done() || watch->done(); });
+      if (result_any->done()) {
+        decided = flooded;
+        break;
+      }
+      if (watch->status.error == ErrClass::success) {
+        // The flood from the coordinator matched the specific-source watch
+        // (possible when result_any already fired for an earlier packet...
+        // it has not here, but a direct match is equivalent).
+        decided = watched;
+        break;
+      }
+      // Coordinator died; converge on the next lowest live rank. This is the
+      // closest thing the protocol has to an "agreement timeout" (there is no
+      // timer — the failure sweep completes the watch), so it doubles as a
+      // flight-recorder trigger.
+      base::counters().add("ft.agree_coordinator_deaths");
+      obs::trigger_postmortem("agree_coordinator_death");
+    }
+  }
 
   // Flood the decision to every live member before returning, so survivors
   // that have not decided yet can adopt it even if we (or the coordinator)

@@ -182,34 +182,6 @@ TEST(Ckpt, SaveOnRevokedCommFailsUniformlyWithoutCorruptingEpochs) {
   });
 }
 
-TEST(Ckpt, RevokeObserverFiresOnceAndImmediatelyWhenLate) {
-  world_run(1, 2, [](sim::Process& p) {
-    Communicator comm = comm_world().dup();
-    std::atomic<int> fired{0};
-    const int id = comm.on_revoke([&] { fired.fetch_add(1); });
-    EXPECT_GE(id, 0);
-    comm_world().barrier();
-    if (p.rank() == 0) {
-      comm.revoke();
-    } else {
-      try {
-        std::int32_t v = 0;
-        Request r = comm.irecv(&v, 1, Datatype::int32(), 0, 11);
-        EXPECT_EQ(r.wait().error, ErrClass::comm_revoked);
-      } catch (const Error& e) {
-        EXPECT_EQ(e.error_class(), ErrClass::comm_revoked);
-      }
-    }
-    EXPECT_EQ(fired.load(), 1);
-    // Attaching after the fact fires immediately and returns -1.
-    std::atomic<int> late{0};
-    EXPECT_EQ(comm.on_revoke([&] { late.fetch_add(1); }), -1);
-    EXPECT_EQ(late.load(), 1);
-    comm_world().barrier();
-    comm.free();
-  });
-}
-
 TEST(Ckpt, RestoreWithNoCommittedEpochFailsCleanly) {
   world_run(1, 3, [](sim::Process&) {
     std::uint64_t x = 7;

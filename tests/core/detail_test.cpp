@@ -1,8 +1,13 @@
 // White-box tests of core internals (compiled with the core's private
 // include directory): the consensus CID algorithm's round behaviour, the
-// subset allreduce building block, and the tag-space helpers.
+// subset allreduce building block, the tag-space helpers, and the FT-tag
+// carve-out of revocation.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "detail/cid.hpp"
 #include "detail/state.hpp"
@@ -12,6 +17,7 @@ namespace sessmpi::detail {
 namespace {
 
 using sessmpi::testing::world_run;
+using namespace std::chrono_literals;
 
 TEST(InternalTags, AllBelowInternalBaseAndDistinct) {
   // Collective tags must never collide with application tags (>= 0) or the
@@ -151,6 +157,60 @@ TEST(ProcStateInternals, CommRegistrationTables) {
     EXPECT_TRUE(ps.cid_alloc.is_used(1));
     // World-model comms are not in the exCID table.
     EXPECT_EQ(ps.comm_by_excid.count(world->excid_space.id()), 0u);
+  });
+}
+
+TEST(RevokeCarveOut, FtTagRendezvousSendSurvivesRevokeAndCompletes) {
+  // Recovery talks over a revoked communicator on FT tags, so a pending
+  // FT-tag rendezvous send must outlive the revocation and complete once
+  // the peer posts the matching FT receive.
+  constexpr int kBytes = static_cast<int>(kEagerLimit) * 2;
+  const int tag = ft_tag(999, 3);
+  std::atomic<bool> sent{false};
+  std::atomic<bool> checked{false};
+  world_run(1, 2, [&](sim::Process& p) {
+    Communicator comm = comm_world().dup();
+    ProcState& ps = ProcState::current();
+    const auto& s = detail_unwrap(comm);
+    std::vector<std::byte> buf(static_cast<std::size_t>(kBytes),
+                               std::byte{7});
+    // Bounded waits: at a build that poisons the send this fails, not hangs.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    const auto in_time = [&] {
+      return std::chrono::steady_clock::now() < deadline;
+    };
+    const auto await_flag = [&](const std::atomic<bool>& flag) {
+      while (!flag && in_time()) {
+        std::this_thread::sleep_for(1ms);
+      }
+    };
+    if (p.rank() == 0) {
+      RequestPtr send = ps.isend_impl(s, buf.data(), kBytes, Datatype::byte(),
+                                      1, tag, /*sync=*/false);
+      sent = true;
+      ps.progress_until([&] { return comm.is_revoked() || !in_time(); });
+      ASSERT_TRUE(comm.is_revoked());
+      EXPECT_FALSE(send->done() &&
+                   send->status.error == ErrClass::comm_revoked)
+          << "an FT-tag send must survive the revocation";
+      checked = true;
+      ps.progress_until([&] { return send->done() || !in_time(); });
+      ASSERT_TRUE(send->done()) << "the FT-tag send never completed";
+      EXPECT_EQ(send->status.error, ErrClass::success);
+    } else {
+      await_flag(sent);
+      comm.revoke();
+      await_flag(checked);
+      std::vector<std::byte> in(static_cast<std::size_t>(kBytes));
+      RequestPtr recv =
+          ps.irecv_impl(s, in.data(), kBytes, Datatype::byte(), 0, tag);
+      ps.progress_until([&] { return recv->done() || !in_time(); });
+      ASSERT_TRUE(recv->done()) << "the FT receive never got its data";
+      EXPECT_EQ(recv->status.error, ErrClass::success);
+      EXPECT_EQ(recv->status.tag, tag);
+      EXPECT_EQ(in, buf);
+    }
+    comm.free();
   });
 }
 

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
+#include "detail/state.hpp"
 #include "harness.hpp"
 
 namespace sessmpi {
 namespace {
 
 using testing::world_run;
+using namespace std::chrono_literals;
 
 TEST(Failure, BlockingRecvFromDeadRankAborts) {
   world_run(1, 2, [](sim::Process& p) {
@@ -133,6 +137,105 @@ TEST(Failure, SurvivorsReinitializeAndContinue) {
     c2.free();
     s2.finalize();
   });
+}
+
+// Every kind of pending point-to-point operation x both causes that end
+// one: the request completes with the cause's error class and names the
+// operation's own peer and tag. Rank 0 holds the operation toward rank 1;
+// rank 1 dies or revokes once the operation is pending.
+TEST(Failure, PendingOpEndsWithItsPeerAndTagWhateverTheCause) {
+  enum class Op { posted_recv, rndv_send, sync_send, matched_rndv_recv };
+  enum class Cause { peer_death, revoke };
+  struct Cell {
+    Op op;
+    const char* op_name;
+  };
+  const Cell ops[] = {{Op::posted_recv, "posted receive"},
+                      {Op::rndv_send, "rendezvous send"},
+                      {Op::sync_send, "synchronous send"},
+                      {Op::matched_rndv_recv, "matched rendezvous receive"}};
+  constexpr int kTag = 5;
+  constexpr int kBig = static_cast<int>(kEagerLimit) * 2;
+
+  for (const Cell& cell : ops) {
+    for (const Cause cause : {Cause::peer_death, Cause::revoke}) {
+      // Named in each assertion: the checks run on rank threads, which a
+      // SCOPED_TRACE on this thread does not reach.
+      const std::string where =
+          std::string(cell.op_name) +
+          (cause == Cause::peer_death ? " / peer death" : " / revoke");
+      const ErrClass want = cause == Cause::peer_death
+                                ? ErrClass::rte_proc_failed
+                                : ErrClass::comm_revoked;
+      std::atomic<bool> rts_sent{false};
+      std::atomic<bool> pending{false};
+      world_run(1, 2, [&](sim::Process& p) {
+        Communicator comm = comm_world().dup();
+        detail::ProcState& ps = detail::ProcState::current();
+        const auto& s = detail_unwrap(comm);
+        std::vector<std::byte> buf(static_cast<std::size_t>(kBig),
+                                   std::byte{1});
+        // Bounded waits: a missing completion fails the cell, never hangs.
+        const auto deadline = std::chrono::steady_clock::now() + 10s;
+        const auto in_time = [&] {
+          return std::chrono::steady_clock::now() < deadline;
+        };
+        if (p.rank() == 1) {
+          if (cell.op == Op::matched_rndv_recv) {
+            // The RTS goes out now; the data would only ship from this
+            // rank's progress, which it never makes before the cause.
+            ps.isend_impl(s, buf.data(), kBig, Datatype::byte(), 0, kTag,
+                          /*sync=*/false);
+            rts_sent = true;
+          }
+          while (!pending && in_time()) {
+            std::this_thread::sleep_for(1ms);
+          }
+          if (cause == Cause::peer_death) {
+            p.fail();
+            return;
+          }
+          comm.revoke();
+          comm.free();
+          return;
+        }
+
+        detail::RequestPtr req;
+        switch (cell.op) {
+          case Op::posted_recv:
+            req = ps.irecv_impl(s, buf.data(), 1, Datatype::byte(), 1, kTag);
+            break;
+          case Op::rndv_send:
+            req = ps.isend_impl(s, buf.data(), kBig, Datatype::byte(), 1, kTag,
+                                /*sync=*/false);
+            break;
+          case Op::sync_send:
+            req = ps.isend_impl(s, buf.data(), 1, Datatype::byte(), 1, kTag,
+                                /*sync=*/true);
+            break;
+          case Op::matched_rndv_recv:
+            req = ps.irecv_impl(s, buf.data(), kBig, Datatype::byte(), 1, kTag);
+            while (!rts_sent && in_time()) {
+              std::this_thread::sleep_for(1ms);
+            }
+            // Matched once the RTS parks the receive under its token.
+            ps.progress_until([&] {
+              std::lock_guard lock(ps.mu);
+              return !ps.recv_tokens.empty() || !in_time();
+            });
+            break;
+        }
+        ASSERT_FALSE(req->done()) << where << ": must still be pending";
+        pending = true;
+        ps.progress_until([&] { return req->done() || !in_time(); });
+        ASSERT_TRUE(req->done()) << where << ": the cause never ended it";
+        EXPECT_EQ(req->status.error, want) << where;
+        EXPECT_EQ(req->status.source, 1) << where;
+        EXPECT_EQ(req->status.tag, kTag) << where;
+        comm.free();
+      });
+    }
+  }
 }
 
 }  // namespace

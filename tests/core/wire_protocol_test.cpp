@@ -117,6 +117,12 @@ TEST(WireProtocol, RendezvousProbeSeesAdvertisedSize) {
       std::vector<std::byte> big(static_cast<std::size_t>(n), std::byte{1});
       world.send(big.data(), n, Datatype::byte(), 1, 8);
     } else {
+      Status ist;
+      while (!world.iprobe(0, 8, &ist)) {
+        std::this_thread::yield();
+      }
+      EXPECT_EQ(ist.count(Datatype::byte()), n)
+          << "iprobe must report the advertised rendezvous size";
       Status st = world.probe(0, 8);
       EXPECT_EQ(st.count(Datatype::byte()), n)
           << "probe must report the advertised rendezvous size";
